@@ -12,12 +12,13 @@
 #   make bench-compare   # tier1 + benches, diff against BENCH_baseline.json
 #   make loadtest        # fleet-scale load tier: scaled tests + tail gate vs BENCH_tail.json
 #   make loadtest-baseline  # full-population load scenarios, refresh BENCH_tail.json
+#   make perfbench-test  # vet + test the perfbench module (its own go.mod)
 #
 # Benchmark knobs (see scripts/README.md): BENCH_COUNT, BENCH_TIME,
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
 # BENCH_PKGS.
 
-.PHONY: check check-race tier1 race lint drivolint doclint chaos bench bench-baseline bench-compare loadtest loadtest-baseline
+.PHONY: check check-race tier1 race lint drivolint doclint chaos bench bench-baseline bench-compare loadtest loadtest-baseline perfbench-test
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -90,3 +91,10 @@ loadtest:
 
 loadtest-baseline:
 	CLUSTER="$(CLUSTER)" scripts/loadtest.sh baseline
+
+# perfbench-test vets and tests the repo benchmark (perfbench/). It is a
+# Go module of its own, so `go build/vet/test ./...` at the root never
+# reaches it: a core API change that breaks it would otherwise only show
+# when the benchmark runs. Off the tier-1 path.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...

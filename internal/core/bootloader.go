@@ -78,13 +78,13 @@ type Bootloader struct {
 	wakeCh    chan struct{}
 	wg        sync.WaitGroup
 
-	// Cached protocol connection to the current server, reused across
+	// Cached protocol client for the current server, reused across
 	// renewals so the steady-state lease traffic (§3.2) costs one round
 	// trip, not a dial + round trip. Guarded by connMu for the whole
-	// exchange; dropped on any transport error or dirty stream.
-	connMu      sync.Mutex
-	srvConn     *wire.Conn
-	srvConnAddr string
+	// exchange; dropped once poisoned.
+	connMu sync.Mutex
+	lc     *LeaseClient
+	lcAddr string
 
 	metMu sync.Mutex
 	met   Metrics
@@ -366,8 +366,8 @@ func (b *Bootloader) request(database string, leaseID uint64, checksum string) R
 	}
 }
 
-// dialServer opens a protocol connection, over TLS when configured.
-func (b *Bootloader) dialServer(addr string) (*wire.Conn, error) {
+// dialConn opens a protocol connection, over TLS when configured.
+func (b *Bootloader) dialConn(addr string) (*wire.Conn, error) {
 	if b.tlsConf != nil {
 		d := &net.Dialer{Timeout: b.dialTimeout}
 		nc, err := tls.DialWithDialer(d, "tcp", addr, b.tlsConf)
@@ -379,9 +379,21 @@ func (b *Bootloader) dialServer(addr string) (*wire.Conn, error) {
 	return wire.Dial(addr, b.dialTimeout)
 }
 
+// dialServer opens a protocol client to addr; dialTimeout bounds every
+// answer wait as well as the dial.
+func (b *Bootloader) dialServer(addr string) (*LeaseClient, error) {
+	conn, err := b.dialConn(addr)
+	if err != nil {
+		return nil, err
+	}
+	return newLeaseClient(conn, b.dialTimeout), nil
+}
+
 // discover probes every configured server (the DHCP-like broadcast,
 // §3.1) and returns the address of the first one that answers with an
-// offer.
+// offer. When none does, the error wraps both ErrNoServers and the
+// first server's failure, so a DRIVOLUTION_ERROR answer stays
+// reachable as a *ProtocolError.
 func (b *Bootloader) discover(database string) (string, error) {
 	if len(b.servers) == 0 {
 		return "", ErrNoServers
@@ -394,41 +406,10 @@ func (b *Bootloader) discover(database string) (string, error) {
 		err  error
 	}
 	ch := make(chan answer, len(b.servers))
-	req := b.request(database, 0, "").encode()
+	req := b.request(database, 0, "")
 	for _, addr := range b.servers {
 		go func(addr string) {
-			// A clean exchange over the cached renewal connection settles
-			// this server without a dial; a cached connection that turns
-			// out dead falls through to a fresh dial like any other server
-			// (DISCOVER is idempotent, so re-sending is safe).
-			if offered, used, err := b.probeCached(addr, req); used && err == nil {
-				if offered {
-					ch <- answer{addr: addr}
-				} else {
-					ch <- answer{err: fmt.Errorf("drivolution: %s declined discover", addr)}
-				}
-				return
-			}
-			conn, err := b.dialServer(addr)
-			if err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			defer conn.Close()
-			if err := conn.Send(msgDiscover, req); err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			f, err := conn.RecvTimeout(b.dialTimeout)
-			if err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			if f.Type != msgOffer {
-				ch <- answer{err: fmt.Errorf("drivolution: %s declined discover", addr)}
-				return
-			}
-			ch <- answer{addr: addr}
+			ch <- answer{addr: addr, err: b.probe(addr, req)}
 		}(addr)
 	}
 	var firstErr error
@@ -441,59 +422,68 @@ func (b *Bootloader) discover(database string) (string, error) {
 			firstErr = a.err
 		}
 	}
-	return "", fmt.Errorf("%w: %v", ErrNoServers, firstErr)
+	return "", fmt.Errorf("%w: %w", ErrNoServers, firstErr)
 }
 
-// probeCached runs one DISCOVER probe over the persistent renewal
-// connection when the bootloader still holds one to addr, instead of
-// dialing a second connection to a server it is already talking to.
-// used=false means no cached connection covered addr and the caller
-// should dial. The connection is detached for the duration of the round
-// trip so connMu is never held across network I/O: a concurrent fetch
-// simply sees no cached connection and dials, rather than blocking up
-// to dialTimeout behind a slow probe. A transport failure discards the
-// connection (the next renewal redials); a clean exchange re-caches it.
-func (b *Bootloader) probeCached(addr string, req []byte) (offered, used bool, err error) {
-	b.connMu.Lock()
-	if b.srvConn == nil || b.srvConnAddr != addr {
-		b.connMu.Unlock()
-		return false, false, nil
+// probe runs one DISCOVER against addr. A clean exchange over the
+// cached renewal client settles it without a dial; a cached client that
+// turns out dead falls through to a fresh dial like any other server
+// (DISCOVER is idempotent, so re-sending is safe).
+func (b *Bootloader) probe(addr string, req Request) error {
+	if used, err := b.probeCached(addr, req); used {
+		return err
 	}
-	conn := b.srvConn
-	b.srvConn, b.srvConnAddr = nil, ""
+	lc, err := b.dialServer(addr)
+	if err != nil {
+		return err
+	}
+	defer lc.Close()
+	_, err = lc.Discover(req)
+	return err
+}
+
+// probeCached runs the DISCOVER over the persistent renewal client when
+// the bootloader still holds one to addr, instead of dialing a second
+// connection to a server it is already talking to. used=false means no
+// cached client covered addr, or it was poisoned mid-probe, and the
+// caller should dial. The client is detached for the duration of the
+// round trip so connMu is never held across network I/O: a concurrent
+// fetch simply sees no cached client and dials, rather than blocking up
+// to dialTimeout behind a slow probe. A poisoned client is discarded
+// (the next renewal redials); a clean exchange re-caches it.
+func (b *Bootloader) probeCached(addr string, req Request) (used bool, err error) {
+	b.connMu.Lock()
+	lc := b.lc
+	if lc == nil || b.lcAddr != addr {
+		b.connMu.Unlock()
+		return false, nil
+	}
+	b.lc, b.lcAddr = nil, ""
 	b.connMu.Unlock()
 
-	healthy := false
-	defer func() {
-		b.connMu.Lock()
-		// The stop check must happen under connMu: Close() closes stopCh
-		// before sweeping srvConn, so a defer that re-caches without
-		// observing the close is guaranteed to do so before Close's sweep
-		// acquires the lock — the sweep then finds and closes the conn.
-		stopped := false
-		select {
-		case <-b.stopCh:
-			stopped = true // Close() ran mid-probe; it cannot see a detached conn
-		default:
-		}
-		if healthy && !stopped && b.srvConn == nil {
-			b.srvConn, b.srvConnAddr = conn, addr
-		} else {
-			// Broken stream, bootloader closed, or a concurrent fetch
-			// cached a fresh connection while we probed: ours is surplus.
-			conn.Close()
-		}
-		b.connMu.Unlock()
-	}()
-	if err := conn.Send(msgDiscover, req); err != nil {
-		return false, true, err
+	_, err = lc.Discover(req)
+	healthy := !lc.poisoned
+
+	b.connMu.Lock()
+	defer b.connMu.Unlock()
+	// The stop check must happen under connMu: Close() closes stopCh
+	// before sweeping the cached client, so re-caching without observing
+	// the close is guaranteed to happen before Close's sweep acquires the
+	// lock — the sweep then finds and closes the client.
+	stopped := false
+	select {
+	case <-b.stopCh:
+		stopped = true // Close() ran mid-probe; it cannot see a detached client
+	default:
 	}
-	f, err := conn.RecvTimeout(b.dialTimeout)
-	if err != nil {
-		return false, true, err
+	if healthy && !stopped && b.lc == nil {
+		b.lc, b.lcAddr = lc, addr
+	} else {
+		// Broken stream, bootloader closed, or a concurrent fetch cached
+		// a fresh client while we probed: ours is surplus.
+		lc.Close()
 	}
-	healthy = true
-	return f.Type == msgOffer, true, nil
+	return healthy, err
 }
 
 // fetch performs REQUEST → OFFER → FILE_REQUEST → FILE_DATA* against one
@@ -511,145 +501,82 @@ func (b *Bootloader) fetch(addr, database string, leaseID uint64, checksum strin
 	defer b.connMu.Unlock()
 	for hop := 0; ; hop++ {
 		offer, blob, err := b.fetchLocked(addr, database, leaseID, checksum)
-		var re *Redirect
-		if hop < 2 && errors.As(err, &re) && re.Addr != "" && re.Addr != addr {
-			addr = re.Addr
-			continue
+		if err != nil && hop < 2 {
+			// Scoped to the error path: &re escapes into errors.As, so a
+			// declaration outside it would cost every fetch an allocation.
+			var re *Redirect
+			if errors.As(err, &re) && re.Addr != "" && re.Addr != addr {
+				addr = re.Addr
+				continue
+			}
 		}
 		return offer, blob, addr, err
 	}
 }
 
 // fetchLocked runs one fetch against exactly one server; caller holds
-// connMu. It reuses a cached connection to addr when one is healthy; a
-// cached connection that fails mid-exchange (server restarted, idle
-// drop) is replaced by one fresh dial before the error is reported.
+// connMu. It reuses the cached client to addr when there is one; a
+// cached client that fails mid-exchange (server restarted, idle drop)
+// is replaced, and the request re-sent on one fresh dial only when
+// the failure proves the server never saw it.
 func (b *Bootloader) fetchLocked(addr, database string, leaseID uint64, checksum string) (Offer, []byte, error) {
-	if b.srvConn != nil && b.srvConnAddr == addr {
-		offer, blob, err, clean, received := b.fetchOn(b.srvConn, database, leaseID, checksum)
-		if clean {
+	if b.lc != nil && b.lcAddr == addr {
+		offer, blob, err := b.fetchOn(b.lc, database, leaseID, checksum)
+		if !b.lc.poisoned {
 			return offer, blob, err
 		}
+		// Re-send ONLY when the cached connection was dead on arrival
+		// (send failed, or the very first read hit EOF/reset without a
+		// timeout). A timeout or a mid-exchange failure may mean the
+		// REQUEST was applied; surface the error and let the renewal
+		// layer's keep-driver/retry-later policy handle it.
+		resend := b.lc.unanswered(err)
 		b.dropServerConnLocked()
-		// Retry on a fresh dial ONLY when the cached connection was
-		// dead on arrival (send failed, or the very first read hit
-		// EOF/reset without a timeout) — then the server cannot have
-		// processed the request, so re-sending is safe. A timeout or a
-		// mid-exchange failure may mean the REQUEST was applied
-		// (lease created, license seat taken); re-sending would apply
-		// it twice, so surface the error and let the renewal layer's
-		// keep-driver/retry-later policy handle it.
-		var nerr net.Error
-		timedOut := errors.As(err, &nerr) && nerr.Timeout()
-		if received || timedOut {
+		if !resend {
 			return offer, blob, err
 		}
-	} else if b.srvConn != nil {
+	} else if b.lc != nil {
 		b.dropServerConnLocked() // failover: talking to a different server now
 	}
 
-	conn, err := b.dialServer(addr)
+	lc, err := b.dialServer(addr)
 	if err != nil {
 		return Offer{}, nil, err
 	}
-	offer, blob, ferr, clean, _ := b.fetchOn(conn, database, leaseID, checksum)
-	if clean {
-		b.srvConn, b.srvConnAddr = conn, addr
+	offer, blob, err := b.fetchOn(lc, database, leaseID, checksum)
+	if lc.poisoned {
+		lc.Close()
 	} else {
-		conn.Close()
+		b.lc, b.lcAddr = lc, addr
 	}
-	return offer, blob, ferr
+	return offer, blob, err
 }
 
-// dropServerConnLocked closes the cached server connection; caller
-// holds connMu.
+// dropServerConnLocked closes the cached server client; caller holds
+// connMu.
 func (b *Bootloader) dropServerConnLocked() {
-	if b.srvConn != nil {
-		b.srvConn.Close()
-		b.srvConn = nil
-		b.srvConnAddr = ""
+	if b.lc != nil {
+		b.lc.Close()
+		b.lc, b.lcAddr = nil, ""
 	}
 }
 
-// fetchOn runs one REQUEST exchange over conn. clean reports whether
-// the stream is positioned on a frame boundary afterwards (a protocol
-// error from the server is a clean, complete exchange; a transport or
-// framing failure is not), i.e. whether conn is safe to reuse.
-// received reports whether any response frame arrived — once true, the
-// server definitely processed the request, so the caller must not
-// retry it elsewhere.
-func (b *Bootloader) fetchOn(conn *wire.Conn, database string, leaseID uint64, checksum string) (_ Offer, _ []byte, _ error, clean, received bool) {
-	if err := conn.Send(msgRequest, b.request(database, leaseID, checksum).encode()); err != nil {
-		return Offer{}, nil, err, false, false
+// fetchOn runs one REQUEST exchange over lc and, when the offer stages
+// a driver, downloads it into one buffer sized by the offer.
+func (b *Bootloader) fetchOn(lc *LeaseClient, database string, leaseID uint64, checksum string) (Offer, []byte, error) {
+	offer, err := lc.Request(b.request(database, leaseID, checksum))
+	if err != nil || !offer.HasDriver {
+		return offer, nil, err
 	}
-	f, err := conn.RecvTimeout(b.dialTimeout)
+	blob, n, err := lc.fetchFile(offer.LeaseID, make([]byte, 0, offer.Size))
+	if err == nil && uint32(n) != offer.Size {
+		err = fmt.Errorf("drivolution: transfer size mismatch: got %d, offered %d", n, offer.Size)
+	}
 	if err != nil {
-		return Offer{}, nil, err, false, false
+		return Offer{}, nil, err
 	}
-	switch f.Type {
-	case msgError:
-		pe, derr := decodeProtocolError(f.Payload)
-		if derr != nil {
-			return Offer{}, nil, derr, false, true
-		}
-		return Offer{}, nil, pe, true, true
-	case msgRedirect:
-		// Cluster shard routing: this member does not own the request's
-		// shard. A complete, clean exchange — the connection stays
-		// reusable (it is still the right server for DISCOVER probes).
-		re, derr := decodeRedirect(f.Payload)
-		if derr != nil {
-			return Offer{}, nil, derr, false, true
-		}
-		return Offer{}, nil, re, true, true
-	case msgOffer:
-	default:
-		return Offer{}, nil, fmt.Errorf("drivolution: unexpected frame 0x%04x", f.Type), false, true
-	}
-	offer, err := decodeOffer(f.Payload)
-	if err != nil {
-		return Offer{}, nil, err, false, true
-	}
-	if !offer.HasDriver {
-		return offer, nil, nil, true, true
-	}
-
-	if err := conn.Send(msgFileRequest, fileRequest{LeaseID: offer.LeaseID}.encode()); err != nil {
-		return Offer{}, nil, err, false, true
-	}
-	blob := make([]byte, 0, offer.Size)
-	for {
-		f, err := conn.RecvTimeout(b.dialTimeout)
-		if err != nil {
-			return Offer{}, nil, fmt.Errorf("drivolution: transfer: %w", err), false, true
-		}
-		if f.Type == msgError {
-			pe, derr := decodeProtocolError(f.Payload)
-			if derr != nil {
-				return Offer{}, nil, derr, false, true
-			}
-			return Offer{}, nil, pe, true, true
-		}
-		if f.Type != msgFileData {
-			return Offer{}, nil, fmt.Errorf("drivolution: unexpected frame 0x%04x during transfer", f.Type), false, true
-		}
-		chunk, err := decodeFileChunk(f.Payload)
-		if err != nil {
-			return Offer{}, nil, err, false, true
-		}
-		if int(chunk.Offset) != len(blob) {
-			return Offer{}, nil, fmt.Errorf("drivolution: transfer gap at offset %d", chunk.Offset), false, true
-		}
-		blob = append(blob, chunk.Data...)
-		if chunk.Last {
-			break
-		}
-	}
-	if uint32(len(blob)) != offer.Size {
-		return Offer{}, nil, fmt.Errorf("drivolution: transfer size mismatch: got %d, offered %d", len(blob), offer.Size), false, true
-	}
-	b.addMetric(func(m *Metrics) { m.BytesFetched += int64(len(blob)) })
-	return offer, blob, nil, true, true
+	b.addMetric(func(m *Metrics) { m.BytesFetched += int64(n) })
+	return offer, blob, nil
 }
 
 // install decodes, verifies, and loads a driver blob (the paper's

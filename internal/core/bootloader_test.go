@@ -40,6 +40,7 @@ func TestBootstrapAndQuery(t *testing.T) {
 		t.Error("LeaseID = 0 after bootstrap")
 	}
 	// Server-side counters moved.
+	waitTransfers(t, f.drv, 1)
 	reqs, offers, _, transfers, bytesOut, _ := f.drv.Stats()
 	if reqs < 1 || offers < 1 || transfers != 1 || bytesOut == 0 {
 		t.Errorf("server stats: reqs=%d offers=%d transfers=%d bytes=%d", reqs, offers, transfers, bytesOut)
@@ -84,6 +85,26 @@ func TestBootstrapAuthRejected(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Code != ErrCodeAuth {
 		t.Fatalf("err = %v", err)
 	}
+
+	// With two live servers the rejection comes back from the DISCOVER
+	// round; it must still carry the server's *ProtocolError.
+	srv2, err := NewServer("drivolution-2", NewLocalStore(f.drv.store.(*LocalStore).DB),
+		WithAuth(func(db, user, pass string) error { return errors.New("bad credentials") }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv2.Stop)
+	two := NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
+		[]string{f.drv.Addr(), srv2.Addr()}, f.rt,
+		WithCredentials("app", "wrong"), WithDialTimeout(2*time.Second))
+	t.Cleanup(two.Close)
+	_, err = two.Connect(f.appURL(), nil)
+	if !errors.Is(err, ErrNoServers) || !errors.As(err, &pe) || pe.Code != ErrCodeAuth {
+		t.Fatalf("two servers: err = %v", err)
+	}
 }
 
 // TestLargeDriverChunkedTransfer pushes a driver bigger than one
@@ -111,6 +132,7 @@ func TestRenewKeepsDriver(t *testing.T) {
 	b := f.bootloader(t)
 	mustConnect(t, b, f.appURL())
 
+	waitTransfers(t, f.drv, 1)
 	_, _, _, transfersBefore, _, _ := f.drv.Stats()
 	if err := b.ForceRenew("prod"); err != nil {
 		t.Fatal(err)
@@ -695,7 +717,7 @@ func TestDiscoverReusesRenewalConn(t *testing.T) {
 	mustConnect(t, b, f.appURL())
 
 	b.connMu.Lock()
-	cachedAddr := b.srvConnAddr
+	cachedAddr := b.lcAddr
 	b.connMu.Unlock()
 	if cachedAddr == "" {
 		t.Fatal("no cached renewal connection after bootstrap")
@@ -721,7 +743,7 @@ func TestDiscoverReusesRenewalConn(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		b.connMu.Lock()
-		kept := b.srvConn != nil && b.srvConnAddr == cachedAddr
+		kept := b.lc != nil && b.lcAddr == cachedAddr
 		b.connMu.Unlock()
 		if kept {
 			break

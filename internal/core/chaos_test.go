@@ -188,8 +188,18 @@ func TestChaosSoak(t *testing.T) {
 	if err := bls[0].ForceRenew("prod"); err == nil {
 		t.Fatal("renewal succeeded through a fully partitioned control plane")
 	}
+	// The pin queries a connection opened under the partition. One opened
+	// at bootstrap may already have been retired legitimately: the
+	// bootloader renews its 120ms lease while the rest of the fleet
+	// bootstraps through the faults, and a license-mode rebootstrap can
+	// swap in another driver before the partition starts.
+	cut, err := bls[0].Connect(appURL, nil)
+	if err != nil {
+		t.Fatalf("cut-off bootloader must keep handing out its driver (§4.1.3): %v", err)
+	}
+	t.Cleanup(func() { _ = cut.Close() })
 	for j := 0; j < 10; j++ {
-		if _, err := conns[0].Query(`SELECT name FROM items WHERE id = 1`); err != nil {
+		if _, err := cut.Query(`SELECT name FROM items WHERE id = 1`); err != nil {
 			t.Fatalf("cut-off bootloader must keep serving its driver (§4.1.3), query %d failed: %v", j, err)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -101,6 +101,23 @@ func (f *fixture) bootloader(t *testing.T, opts ...BootloaderOption) *Bootloader
 // appURL is the connection URL applications pass to the bootloader.
 func (f *fixture) appURL() string { return "dbms://" + f.target.Addr() + "/prod" }
 
+// waitTransfers waits until the server has counted n completed driver
+// transfers. The server counts a transfer, and its bytes, after sending
+// the last chunk, which can land after the client has already returned.
+func waitTransfers(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		_, _, _, got, _, _ := s.Stats()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server transfers = %d, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // mustConnect opens a connection through the bootloader.
 func mustConnect(t *testing.T, b *Bootloader, url string) client.Conn {
 	t.Helper()

@@ -1,32 +1,40 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// LeaseClient is a minimal, single-goroutine client for the Drivolution
-// bootstrap protocol, built for load harnesses that multiplex many
-// *virtual* bootloaders over one physical connection. Unlike Bootloader
-// it owns no driver, no renewal timer, and no per-client goroutines: it
-// just runs protocol exchanges on behalf of whatever (lease, checksum)
-// identity the caller hands it, so 100k simulated clients can share a
-// bounded pool of these.
+// LeaseClient is the client side of the Drivolution bootstrap protocol:
+// the one place that sends REQUEST, DISCOVER, FILE_REQUEST and RELEASE
+// frames and classifies the server's answers. The Bootloader runs its
+// bootstrap, renewal, discovery and release exchanges on one, Probe runs
+// its one-shot DISCOVER on one, and workload.Fleet multiplexes many
+// *virtual* bootloaders over a bounded pool of them. A LeaseClient is
+// single-goroutine and owns no driver, renewal timer or lease: each call
+// runs one exchange on behalf of whatever (lease, checksum) identity the
+// caller hands it.
 //
-// Error contract: a *ProtocolError return means the exchange completed
-// cleanly (the server answered with DRIVOLUTION_ERROR) and the
-// connection remains usable. Any other error is a transport or framing
-// failure: the stream may be mid-frame, so the client poisons itself —
-// every later call fails fast with ErrLeaseClientPoisoned and the
-// caller must Close and dial a replacement. That mirrors ConnStore's
-// redial contract: never reuse a stream you cannot prove is on a frame
-// boundary.
+// Error contract: a *ProtocolError (the server answered with
+// DRIVOLUTION_ERROR) or *Redirect (a cluster member named the shard
+// owner) return means the exchange completed cleanly and the connection
+// remains usable. Any other error is a transport or framing failure: the
+// stream may be mid-frame, so the client poisons itself — every later
+// call fails fast with ErrLeaseClientPoisoned and the caller must Close
+// and dial a replacement. That mirrors ConnStore's redial contract:
+// never reuse a stream you cannot prove is on a frame boundary.
 type LeaseClient struct {
 	conn     *wire.Conn
 	timeout  time.Duration
 	poisoned bool
+	// answered records whether any answer frame arrived since the last
+	// REQUEST, DISCOVER or RELEASE was sent (a FILE_REQUEST continues
+	// the exchange whose OFFER staged the transfer); see unanswered.
+	answered bool
 }
 
 // ErrLeaseClientPoisoned is returned by every call after a transport
@@ -45,7 +53,26 @@ func DialLeaseClient(addr string, opTimeout time.Duration) (*LeaseClient, error)
 	if err != nil {
 		return nil, err
 	}
-	return &LeaseClient{conn: conn, timeout: opTimeout}, nil
+	return newLeaseClient(conn, opTimeout), nil
+}
+
+// newLeaseClient runs the protocol over an established connection;
+// opTimeout bounds every response wait (zero = none).
+func newLeaseClient(conn *wire.Conn, opTimeout time.Duration) *LeaseClient {
+	return &LeaseClient{conn: conn, timeout: opTimeout}
+}
+
+// Probe sends a one-shot DRIVOLUTION_DISCOVER to a server and returns
+// its offer, without creating a lease — the administrative "which driver
+// would this client get?" check used by drivoctl.
+func Probe(addr string, req Request, timeout time.Duration) (Offer, error) {
+	conn, err := wire.Dial(addr, timeout)
+	if err != nil {
+		return Offer{}, err
+	}
+	c := newLeaseClient(conn, timeout)
+	defer c.Close()
+	return c.Discover(req)
 }
 
 // Close releases the connection. Safe on a poisoned client.
@@ -55,98 +82,109 @@ func (c *LeaseClient) Close() {
 	}
 }
 
-func (c *LeaseClient) recv() (wire.Frame, error) {
-	if c.timeout > 0 {
-		return c.conn.RecvTimeout(c.timeout)
+// send writes one request frame, poisoning the client if it fails.
+func (c *LeaseClient) send(typ uint16, payload []byte) error {
+	if c.poisoned {
+		return ErrLeaseClientPoisoned
 	}
-	return c.conn.Recv()
+	if err := c.conn.Send(typ, payload); err != nil {
+		c.poisoned = true
+		return err
+	}
+	return nil
+}
+
+// recv reads one answer frame within the response timeout, poisoning
+// the client if none arrives.
+func (c *LeaseClient) recv() (wire.Frame, error) {
+	f, err := c.conn.RecvTimeout(c.timeout)
+	if err != nil {
+		c.poisoned = true
+		return f, err
+	}
+	c.answered = true
+	return f, nil
+}
+
+// exchange opens a new exchange: it sends one request frame and reads
+// the first answer frame.
+func (c *LeaseClient) exchange(typ uint16, payload []byte) (wire.Frame, error) {
+	c.answered = false
+	if err := c.send(typ, payload); err != nil {
+		return wire.Frame{}, err
+	}
+	return c.recv()
+}
+
+// answerError classifies an answer frame that is not the one the
+// exchange hoped for. DRIVOLUTION_ERROR and REDIRECT are complete
+// answers that leave the stream on a frame boundary; they decode to
+// *ProtocolError and *Redirect. Anything else, or an answer that does
+// not decode, poisons the client.
+func (c *LeaseClient) answerError(f wire.Frame) error {
+	var err error
+	switch f.Type {
+	case msgError:
+		var pe *ProtocolError
+		if pe, err = decodeProtocolError(f.Payload); err == nil {
+			return pe
+		}
+	case msgRedirect:
+		var re *Redirect
+		if re, err = decodeRedirect(f.Payload); err == nil {
+			return re
+		}
+	default:
+		err = fmt.Errorf("core: unexpected frame 0x%04x", f.Type)
+	}
+	c.poisoned = true
+	return err
+}
+
+// unanswered reports whether err poisoned the client before any answer
+// to its last request arrived, and not by a timeout. Then the server
+// cannot have processed the request, so sending it again on a fresh
+// connection is safe. Once an answer arrived, or a wait timed out, the
+// request may have been applied (a lease created, a license seat taken)
+// and re-sending it would apply it twice.
+func (c *LeaseClient) unanswered(err error) bool {
+	var nerr net.Error
+	return c.poisoned && !c.answered && !(errors.As(err, &nerr) && nerr.Timeout())
 }
 
 // Request runs one REQUEST→OFFER exchange: a bootstrap when
 // req.LeaseID is zero, a renewal otherwise (Table 3 / Table 4 flows).
 // The returned Offer's HasDriver reports whether the server staged an
 // upgrade transfer for the lease; the caller may FetchFile it or let a
-// later checksum-acking renewal drop it.
+// later checksum-acking renewal drop it. A cluster member that does not
+// own the request's shard answers with a *Redirect; the caller repeats
+// the request on a client connected to its Addr.
 func (c *LeaseClient) Request(req Request) (Offer, error) {
-	if c.poisoned {
-		return Offer{}, ErrLeaseClientPoisoned
-	}
-	if err := c.conn.Send(msgRequest, req.encode()); err != nil {
-		c.poisoned = true
-		return Offer{}, err
-	}
-	f, err := c.recv()
-	if err != nil {
-		c.poisoned = true
-		return Offer{}, err
-	}
-	switch f.Type {
-	case msgError:
-		pe, derr := decodeProtocolError(f.Payload)
-		if derr != nil {
-			c.poisoned = true
-			return Offer{}, derr
-		}
-		return Offer{}, pe
-	case msgRedirect:
-		// Cluster shard routing: a clean, complete exchange — the
-		// connection stays healthy; the caller repeats the request on a
-		// client connected to re.Addr.
-		re, derr := decodeRedirect(f.Payload)
-		if derr != nil {
-			c.poisoned = true
-			return Offer{}, derr
-		}
-		return Offer{}, re
-	case msgOffer:
-		o, derr := decodeOffer(f.Payload)
-		if derr != nil {
-			c.poisoned = true
-			return Offer{}, derr
-		}
-		return o, nil
-	default:
-		c.poisoned = true
-		return Offer{}, fmt.Errorf("core: unexpected frame 0x%04x to lease request", f.Type)
-	}
+	return c.offerExchange(msgRequest, req)
 }
 
 // Discover runs one DISCOVER→OFFER matchmaking probe: the server
 // answers with lease terms and the matched driver's identity but
-// creates no lease (paper §3.1). Cluster benchmarks use it to measure
-// member-local matchmaking throughput.
+// creates no lease (paper §3.1).
 func (c *LeaseClient) Discover(req Request) (Offer, error) {
-	if c.poisoned {
-		return Offer{}, ErrLeaseClientPoisoned
-	}
-	if err := c.conn.Send(msgDiscover, req.encode()); err != nil {
-		c.poisoned = true
+	return c.offerExchange(msgDiscover, req)
+}
+
+// offerExchange runs one REQUEST or DISCOVER exchange.
+func (c *LeaseClient) offerExchange(typ uint16, req Request) (Offer, error) {
+	f, err := c.exchange(typ, req.encode())
+	if err != nil {
 		return Offer{}, err
 	}
-	f, err := c.recv()
+	if f.Type != msgOffer {
+		return Offer{}, c.answerError(f)
+	}
+	o, err := decodeOffer(f.Payload)
 	if err != nil {
 		c.poisoned = true
 		return Offer{}, err
 	}
-	switch f.Type {
-	case msgError:
-		pe, derr := decodeProtocolError(f.Payload)
-		if derr != nil {
-			c.poisoned = true
-			return Offer{}, derr
-		}
-		return Offer{}, pe
-	case msgOffer:
-		o, derr := decodeOffer(f.Payload)
-		if derr != nil {
-			c.poisoned = true
-			return Offer{}, derr
-		}
-		return o, nil
-	default:
-		c.poisoned = true
-		return Offer{}, fmt.Errorf("core: unexpected frame 0x%04x to discover", f.Type)
-	}
+	return o, nil
 }
 
 // FetchFile downloads the driver blob staged for leaseID and returns
@@ -154,71 +192,58 @@ func (c *LeaseClient) Discover(req Request) (Offer, error) {
 // cost; it does not run drivers). The checksum of what would have been
 // installed is already in the Offer that staged the transfer.
 func (c *LeaseClient) FetchFile(leaseID uint64) (int, error) {
-	if c.poisoned {
-		return 0, ErrLeaseClientPoisoned
+	_, n, err := c.fetchFile(leaseID, nil)
+	return n, err
+}
+
+// fetchFile sends FILE_REQUEST for leaseID and reads the FILE_DATA
+// stream to its last chunk. The chunks must arrive back to back from
+// offset 0 and add up to the total they announce; a stream that breaks
+// either rule poisons the client. The content is appended to blob, or
+// only counted when blob is nil. It returns blob and the byte count.
+func (c *LeaseClient) fetchFile(leaseID uint64, blob []byte) ([]byte, int, error) {
+	if err := c.send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
+		return blob, 0, err
 	}
-	if err := c.conn.Send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
-		c.poisoned = true
-		return 0, err
-	}
-	got := 0
+	n := 0
 	for {
 		f, err := c.recv()
 		if err != nil {
-			c.poisoned = true
-			return got, err
+			return blob, n, fmt.Errorf("core: transfer: %w", err)
 		}
-		switch f.Type {
-		case msgError:
-			pe, derr := decodeProtocolError(f.Payload)
-			if derr != nil {
-				c.poisoned = true
-				return got, derr
-			}
-			return got, pe
-		case msgFileData:
-		default:
-			c.poisoned = true
-			return got, fmt.Errorf("core: unexpected frame 0x%04x during transfer", f.Type)
+		if f.Type != msgFileData {
+			return blob, n, c.answerError(f)
 		}
-		chunk, derr := decodeFileChunk(f.Payload)
-		if derr != nil {
-			c.poisoned = true
-			return got, derr
+		chunk, err := decodeFileChunk(f.Payload)
+		switch {
+		case err != nil: // undecodable chunk
+		case int(chunk.Offset) != n:
+			err = fmt.Errorf("core: transfer gap: chunk at offset %d, want %d", chunk.Offset, n)
+		case chunk.Last && n+len(chunk.Data) != int(chunk.Total):
+			err = fmt.Errorf("core: transfer size mismatch: got %d, announced %d", n+len(chunk.Data), chunk.Total)
 		}
-		got += len(chunk.Data)
+		if err != nil {
+			c.poisoned = true
+			return blob, n, err
+		}
+		n += len(chunk.Data)
+		if blob != nil {
+			blob = append(blob, chunk.Data...)
+		}
 		if chunk.Last {
-			return got, nil
+			return blob, n, nil
 		}
 	}
 }
 
 // Release gives a lease back (msgRelease, license mode §5.4.2).
 func (c *LeaseClient) Release(leaseID uint64) error {
-	if c.poisoned {
-		return ErrLeaseClientPoisoned
-	}
-	if err := c.conn.Send(msgRelease, releaseMsg{LeaseID: leaseID}.encode()); err != nil {
-		c.poisoned = true
-		return err
-	}
-	f, err := c.recv()
+	f, err := c.exchange(msgRelease, releaseMsg{LeaseID: leaseID}.encode())
 	if err != nil {
-		c.poisoned = true
 		return err
 	}
-	switch f.Type {
-	case msgReleaseOK:
-		return nil
-	case msgError:
-		pe, derr := decodeProtocolError(f.Payload)
-		if derr != nil {
-			c.poisoned = true
-			return derr
-		}
-		return pe
-	default:
-		c.poisoned = true
-		return fmt.Errorf("core: unexpected frame 0x%04x to release", f.Type)
+	if f.Type != msgReleaseOK {
+		return c.answerError(f)
 	}
+	return nil
 }

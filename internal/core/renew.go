@@ -278,7 +278,7 @@ func (b *Bootloader) pushLoop(database string) {
 			}
 			continue
 		}
-		conn, err := b.dialServer(addr)
+		conn, err := b.dialConn(addr)
 		if err != nil {
 			if !bo.Sleep(b.stopCh) {
 				return
@@ -340,26 +340,10 @@ func (b *Bootloader) ReleaseLease() error {
 	if cur == nil {
 		return ErrNoDriverAvailable
 	}
-	conn, err := b.dialServer(serverAddr)
+	lc, err := b.dialServer(serverAddr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if err := conn.Send(msgRelease, releaseMsg{LeaseID: leaseID}.encode()); err != nil {
-		return err
-	}
-	f, err := conn.RecvTimeout(b.dialTimeout)
-	if err != nil {
-		return err
-	}
-	if f.Type != msgReleaseOK {
-		if f.Type == msgError {
-			pe, derr := decodeProtocolError(f.Payload)
-			if derr == nil {
-				return pe
-			}
-		}
-		return errors.New("drivolution: release failed")
-	}
-	return nil
+	defer lc.Close()
+	return lc.Release(leaseID)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/dbver"
-	"repro/internal/wire"
 )
 
 // TestTransferMethodEnforced: a permission demanding the TLS channel
@@ -200,24 +199,17 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	f := newFixture(t, 1)
 	f.addDriver(t, f.driverImage(dbver.V(1, 0, 0), 1, 8<<10))
 
-	conn, err := wire.Dial(f.drv.Addr(), 2*time.Second)
+	lc, err := DialLeaseClient(f.drv.Addr(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	defer lc.Close()
 	req := Request{
 		Database: "prod", User: "app", Password: "app-pw",
 		API: dbver.APIOf("JDBC", 3, 0), ClientPlatform: dbver.PlatformLinuxAMD64,
 		ClientID: "pending-test",
 	}
-	if err := conn.Send(msgRequest, req.encode()); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := conn.RecvTimeout(2 * time.Second)
-	if err != nil || fr.Type != msgOffer {
-		t.Fatalf("frame=0x%04x err=%v", fr.Type, err)
-	}
-	offer, err := decodeOffer(fr.Payload)
+	offer, err := lc.Request(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,28 +218,15 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	// retry a failed verify before renewing).
 	fetchFile := func() bool {
 		t.Helper()
-		if err := conn.Send(msgFileRequest, fileRequest{LeaseID: offer.LeaseID}.encode()); err != nil {
+		_, err := lc.FetchFile(offer.LeaseID)
+		var pe *ProtocolError
+		if errors.As(err, &pe) {
+			return false
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			fr, err := conn.RecvTimeout(2 * time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fr.Type == msgError {
-				return false
-			}
-			if fr.Type != msgFileData {
-				t.Fatalf("unexpected frame 0x%04x", fr.Type)
-			}
-			chunk, err := decodeFileChunk(fr.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if chunk.Last {
-				return true
-			}
-		}
+		return true
 	}
 	for i := 0; i < 2; i++ {
 		if !fetchFile() {
@@ -265,14 +244,7 @@ func TestPendingBlobReleasedAfterRenewalAck(t *testing.T) {
 	renew := req
 	renew.LeaseID = offer.LeaseID
 	renew.CurrentChecksum = offer.DriverChecksum
-	if err := conn.Send(msgRequest, renew.encode()); err != nil {
-		t.Fatal(err)
-	}
-	fr, err = conn.RecvTimeout(2 * time.Second)
-	if err != nil || fr.Type != msgOffer {
-		t.Fatalf("renewal frame=0x%04x err=%v", fr.Type, err)
-	}
-	ro, err := decodeOffer(fr.Payload)
+	ro, err := lc.Request(renew)
 	if err != nil {
 		t.Fatal(err)
 	}
