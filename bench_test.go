@@ -834,3 +834,31 @@ func BenchmarkExternalPreparedRenewal(b *testing.B) {
 		b.Fatalf("renewals must cost one statement each: %d statements for %d renewals", got, b.N)
 	}
 }
+
+// BenchmarkExternalBootstrap measures the Table 3 flow on the external
+// deployment (Figure 2) over a v2 session, per fresh bootloader:
+// REQUEST → OFFER → FILE transfer of a 64 KiB image → verify → load →
+// connect. Matchmaking runs on the catalog, and the transfer stages the
+// catalog's shared copy of the image after one existence probe, so
+// B/op tracks the bootloader's install path plus the framing, not
+// per-lease copies of the blob on the server.
+func BenchmarkExternalBootstrap(b *testing.B) {
+	s := newExternalStackProto(b, 2)
+	if _, err := s.drv.AddDriver(s.image(64<<10), dbver.FormatImage); err != nil {
+		b.Fatal(err)
+	}
+	url := "dbms://" + s.legacy.Addr() + "/prod"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bl := core.NewBootloader(dbver.APIOf("JDBC", 3, 0), dbver.PlatformLinuxAMD64,
+			[]string{s.drv.Addr()}, s.rt,
+			core.WithCredentials("app", "app-pw"),
+			core.WithDialTimeout(2*time.Second))
+		c, err := bl.Connect(url, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+		bl.Close()
+	}
+}

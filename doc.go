@@ -36,13 +36,15 @@
 // permission rows. Stores that can report a generation counter over the
 // two schema tables (LocalStore does; the counter lives on the embedded
 // database, so servers sharing one database invalidate each other)
-// serve steady-state grants entirely from the catalog: no SQL, no image
-// decoding, no blob materialization. Any admin mutation bumps the
-// generation and is visible to the very next grant. Driver binaries are
-// fetched lazily, only when a transfer will actually happen — DISCOVER
-// probes and renewal-no-change round trips are blob-free — and §5.4.1
-// on-demand assembly is memoized per (driver content, package set,
-// options) shape. Bootloaders keep a persistent connection to their
+// serve steady-state grants entirely from the catalog: no SQL and no
+// image decoding. Any admin mutation bumps the generation and is visible
+// to the very next grant. The catalog holds one copy of each driver
+// content; every staged transfer shares that copy, and each transfer
+// runs one primary-key existence probe instead of re-reading the blob,
+// so the staged bytes are always the ones the offered checksum
+// describes. DISCOVER probes and renewal-no-change round trips touch no
+// blob at all, and §5.4.1 on-demand assembly is memoized per (driver
+// content, package set, options) shape. Bootloaders keep a persistent connection to their
 // server, so the §3.2 steady-state lease traffic costs one framed round
 // trip per renewal. ConnStore deployments (the external server, §4.1.3)
 // reach the same fast path over the wire: when the legacy DBMS session

@@ -562,13 +562,14 @@ func (b *Bootloader) dropServerConnLocked() {
 }
 
 // fetchOn runs one REQUEST exchange over lc and, when the offer stages
-// a driver, downloads it into one buffer sized by the offer.
+// a driver, downloads it: the one frame it fits in, or one buffer sized
+// by the offer.
 func (b *Bootloader) fetchOn(lc *LeaseClient, database string, leaseID uint64, checksum string) (Offer, []byte, error) {
 	offer, err := lc.Request(b.request(database, leaseID, checksum))
 	if err != nil || !offer.HasDriver {
 		return offer, nil, err
 	}
-	blob, n, err := lc.fetchFile(offer.LeaseID, make([]byte, 0, offer.Size))
+	blob, n, err := lc.fetchFile(offer.LeaseID, true, int(offer.Size))
 	if err == nil && uint32(n) != offer.Size {
 		err = fmt.Errorf("drivolution: transfer size mismatch: got %d, offered %d", n, offer.Size)
 	}
@@ -580,18 +581,15 @@ func (b *Bootloader) fetchOn(lc *LeaseClient, database string, leaseID uint64, c
 }
 
 // install decodes, verifies, and loads a driver blob (the paper's
-// "recheck_time = ...; decode(...); load(...)" from Table 3).
+// "recheck_time = ...; decode(...); load(...)" from Table 3). The blob
+// is checked in place: the signature and checksum cover exactly the
+// received bytes, and the installed image aliases them, so blob is
+// never touched again.
 func (b *Bootloader) install(offer Offer, blob []byte, addr string) (*loadedDriver, error) {
-	img, err := driverimg.Decode(blob)
+	img, sum, err := driverimg.Unpack(blob, b.trustKey)
 	if err != nil {
-		return nil, fmt.Errorf("drivolution: decode driver: %w", err)
+		return nil, fmt.Errorf("drivolution: reject driver: %w", err)
 	}
-	if b.trustKey != nil {
-		if err := img.Verify(b.trustKey); err != nil {
-			return nil, fmt.Errorf("drivolution: reject driver: %w", err)
-		}
-	}
-	sum := img.Checksum() // canonical encoding hashed once, not per use
 	if sum != offer.DriverChecksum {
 		return nil, fmt.Errorf("drivolution: driver checksum mismatch (offered %s, got %s)",
 			offer.DriverChecksum, sum)

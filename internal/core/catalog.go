@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"sync"
@@ -21,31 +22,43 @@ import (
 // (GenerationStore) current when the load began. Every match checks the
 // live generation with one atomic-ish read; on mismatch the catalog is
 // reloaded, so an admin INSERT/UPDATE/DELETE is visible to the very
-// next grant. Steady-state matchmaking therefore runs zero SQL, decodes
-// zero images, and materializes zero blobs: checksums and encoded sizes
-// are precomputed at load, the date predicate of Sample code 2 is
-// re-evaluated in Go against the server clock, and the binary itself is
-// fetched lazily only when a transfer will actually happen.
+// next grant. Steady-state matchmaking therefore runs zero SQL and
+// decodes zero images: checksums and encoded sizes are precomputed at
+// load, and the date predicate of Sample code 2 is re-evaluated in Go
+// against the server clock. The catalog holds one copy of each driver
+// content, the binary_code its load already reads; a transfer stages
+// that shared slice (no per-lease copy) after one primary-key existence
+// probe, so the offered checksum always describes the staged bytes.
 //
 // Lease state is deliberately NOT in the catalog: the license-mode
 // lease-free check (§5.4.2) stays a live query against the leases
 // table, whose churn does not bump the generation.
 
-// catalogEntry is one driver row, blob-free.
+// catalogEntry is one driver row.
 type catalogEntry struct {
-	meta     DriverRecord // BinaryCode nil; use size/checksum instead
+	meta     DriverRecord // BinaryCode nil; the bytes live in blob
 	checksum string
 	size     int
 	corrupt  error // non-nil when binary_code fails structural validation
-	// blobHead identifies the stored blob (&binary_code[0]) so a delta
-	// reload can prove "same bytes as last time" by pointer identity and
-	// skip re-checksumming; a replaced blob — even one reusing a freed
-	// driver_id — necessarily has a different backing array. The pointer
-	// keeps the backing array reachable, which is free while the row
-	// lives (the row holds it anyway) and, for a deleted or replaced
-	// driver, retains its old blob only until the next reload — which the
-	// deletion itself scheduled by bumping the generation.
-	blobHead *byte
+	// blob is the binary_code read at load, shared read-only by every
+	// transfer staged from this entry. On an in-process store it is the
+	// stored value itself, so a delta reload proves "same bytes as last
+	// time" by pointer identity (&blob[0]); a replaced blob — even one
+	// reusing a freed driver_id — necessarily has a different backing
+	// array. A store that decodes rows afresh (ConnStore) falls back to
+	// comparing bytes, and an equal row keeps the previous slice, so one
+	// copy per content survives reloads.
+	blob []byte
+}
+
+// sameBlob reports whether a rescanned binary_code is the entry's
+// blob: the same backing array, or (for stores that copy rows out)
+// the same bytes.
+func (e *catalogEntry) sameBlob(b []byte) bool {
+	if len(e.blob) == 0 || len(e.blob) != len(b) {
+		return false
+	}
+	return &e.blob[0] == &b[0] || bytes.Equal(e.blob, b)
 }
 
 // catalog is an immutable snapshot; a new one replaces it wholesale on
@@ -114,9 +127,10 @@ const catalogPermsSQL = `SELECT permission_id, user, client_ip,
 // to individual tables (TableVersionStore) and only driver_permission
 // moved, the driver entries are carried over wholesale — permission
 // churn on a large driver table touches zero blobs. When the drivers
-// table did move, each rescanned row whose blob is pointer-identical to
-// the previous load keeps its (checksum, corrupt) verdict, so only new
-// or replaced drivers are hashed — the delta load ROADMAP lever (c).
+// table did move, each rescanned row whose blob is the previous load's
+// (same backing array, or same bytes) keeps its slice and its
+// (checksum, corrupt) verdict, so only new or replaced drivers are
+// hashed — the delta load ROADMAP lever (c).
 func (s *Server) loadCatalog(gen uint64, old *catalog) (*catalog, error) {
 	// Like gen, the drivers version is captured BEFORE the scans so a
 	// concurrent driver mutation mid-load labels this snapshot stale.
@@ -142,17 +156,13 @@ func (s *Server) loadCatalog(gen uint64, old *catalog) (*catalog, error) {
 			if err != nil {
 				return nil, err
 			}
-			ent := &catalogEntry{meta: rec, size: len(rec.BinaryCode)}
-			if ent.size > 0 {
-				ent.blobHead = &rec.BinaryCode[0]
-			}
-			if prev := old.lookup(rec.DriverID); prev != nil && prev.blobHead != nil &&
-				prev.blobHead == ent.blobHead && prev.size == ent.size {
-				ent.checksum, ent.corrupt = prev.checksum, prev.corrupt
+			ent := &catalogEntry{meta: rec, size: len(rec.BinaryCode), blob: rec.BinaryCode}
+			if prev := old.lookup(rec.DriverID); prev != nil && prev.sameBlob(ent.blob) {
+				ent.blob, ent.checksum, ent.corrupt = prev.blob, prev.checksum, prev.corrupt
 			} else {
-				ent.checksum, ent.corrupt = driverimg.EncodedChecksum(rec.BinaryCode)
+				ent.checksum, ent.corrupt = driverimg.EncodedChecksum(ent.blob)
 			}
-			ent.meta.BinaryCode = nil // the catalog is blob-free
+			ent.meta.BinaryCode = nil // the bytes live in ent.blob
 			cat.order = append(cat.order, ent)
 			cat.byID[ent.meta.DriverID] = ent
 		}
@@ -351,9 +361,9 @@ func entryMatchesPreference(rec *DriverRecord, req Request, withPrefs bool) bool
 }
 
 // finishGrantCatalog finalizes a catalog-resolved grant. The common
-// no-rewrite case copies the precomputed checksum/size and leaves the
-// blob unmaterialized; assembly/pre-configuration requests go through
-// the assembly cache.
+// no-rewrite case copies the precomputed checksum/size and the entry's
+// blob for materializeBlob to stage; assembly/pre-configuration
+// requests go through the assembly cache.
 func (s *Server) finishGrantCatalog(g *grantInfo, ent *catalogEntry, req Request, options string) *ProtocolError {
 	if ent.corrupt != nil {
 		return corruptDriverError(g.driverID, ent.corrupt)
@@ -361,6 +371,7 @@ func (s *Server) finishGrantCatalog(g *grantInfo, ent *catalogEntry, req Request
 	if len(req.RequiredPackages) == 0 && options == "" {
 		g.checksum = ent.checksum
 		g.size = ent.size
+		g.stored = ent.blob
 		return nil
 	}
 	return s.assembleGrant(g, ent, req, options)
@@ -439,7 +450,7 @@ func (s *Server) assemblyKeyFor(ent *catalogEntry, req Request, options string) 
 }
 
 // assembleGrant resolves an assembly/pre-configuration request through
-// the cache, materializing and rewriting the base image only on miss.
+// the cache, rewriting the entry's base image only on miss.
 func (s *Server) assembleGrant(g *grantInfo, ent *catalogEntry, req Request, options string) *ProtocolError {
 	key := s.assemblyKeyFor(ent, req, options)
 	if v, ok := s.assemblies.get(key); ok {
@@ -448,10 +459,7 @@ func (s *Server) assembleGrant(g *grantInfo, ent *catalogEntry, req Request, opt
 		g.size = len(v.blob)
 		return nil
 	}
-	if perr := s.materializeBlob(g); perr != nil {
-		return perr
-	}
-	img, err := driverimg.Decode(g.blob)
+	img, err := driverimg.Decode(ent.blob) // copies: the rewrite never touches the shared blob
 	if err != nil {
 		return corruptDriverError(g.driverID, err)
 	}

@@ -466,8 +466,8 @@ func TestCatalogDeltaDriverChurn(t *testing.T) {
 		t.Fatal("surviving driver changed checksum across delta reload")
 	}
 	// The cheap proof the entry was carried, not recomputed: the blob
-	// identity pointer is the same one the previous load captured.
-	if after.byID[id1].blobHead != before.byID[id1].blobHead {
+	// shares the backing array the previous load captured.
+	if &after.byID[id1].blob[0] != &before.byID[id1].blob[0] {
 		t.Fatal("surviving driver was rescanned (blob identity changed)")
 	}
 }

@@ -115,3 +115,37 @@ func TestReapDropsOnlyDeadPending(t *testing.T) {
 		t.Fatal("live lease's staged blob must survive the sweep")
 	}
 }
+
+// TestTransferStatementBudget: staging a catalog transfer is exactly
+// ONE statement — the primary-key existence probe — and stages the
+// catalog's own blob, so a bootstrap grant costs the probe plus the
+// lease INSERT.
+func TestTransferStatementBudget(t *testing.T) {
+	srv, cs, _ := pinFixture(t)
+	if _, perr := srv.grant(catalogRequest(), false); perr != nil { // warm catalog + handles
+		t.Fatal(perr)
+	}
+	g, perr := srv.match(catalogRequest())
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	cs.Reset()
+	if perr := srv.materializeBlob(g); perr != nil {
+		t.Fatal(perr)
+	}
+	if got := cs.Statements(); got != 1 {
+		t.Fatalf("staging a transfer issued %d statements, want exactly 1", got)
+	}
+	cat, _ := srv.catalogSnapshot()
+	if ent := cat.byID[g.driverID]; len(g.blob) == 0 || &g.blob[0] != &ent.blob[0] {
+		t.Fatal("the transfer must stage the catalog entry's blob, not a copy")
+	}
+
+	cs.Reset()
+	if _, perr := srv.grant(catalogRequest(), false); perr != nil {
+		t.Fatal(perr)
+	}
+	if got := cs.Statements(); got != 2 {
+		t.Fatalf("a bootstrap grant issued %d statements, want exactly 2 (probe + lease INSERT)", got)
+	}
+}

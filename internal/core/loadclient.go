@@ -192,16 +192,20 @@ func (c *LeaseClient) offerExchange(typ uint16, req Request) (Offer, error) {
 // cost; it does not run drivers). The checksum of what would have been
 // installed is already in the Offer that staged the transfer.
 func (c *LeaseClient) FetchFile(leaseID uint64) (int, error) {
-	_, n, err := c.fetchFile(leaseID, nil)
+	_, n, err := c.fetchFile(leaseID, false, 0)
 	return n, err
 }
 
 // fetchFile sends FILE_REQUEST for leaseID and reads the FILE_DATA
 // stream to its last chunk. The chunks must arrive back to back from
 // offset 0 and add up to the total they announce; a stream that breaks
-// either rule poisons the client. The content is appended to blob, or
-// only counted when blob is nil. It returns blob and the byte count.
-func (c *LeaseClient) fetchFile(leaseID uint64, blob []byte) ([]byte, int, error) {
+// either rule poisons the client. Without keep the content is only
+// counted. With keep it is returned: a transfer of one frame returns
+// that chunk's data, a view of its freshly read payload, so the image
+// is never copied; longer ones are collected into one buffer of size
+// bytes. It returns the content and the byte count.
+func (c *LeaseClient) fetchFile(leaseID uint64, keep bool, size int) ([]byte, int, error) {
+	var blob []byte
 	if err := c.send(msgFileRequest, fileRequest{LeaseID: leaseID}.encode()); err != nil {
 		return blob, 0, err
 	}
@@ -226,10 +230,16 @@ func (c *LeaseClient) fetchFile(leaseID uint64, blob []byte) ([]byte, int, error
 			c.poisoned = true
 			return blob, n, err
 		}
-		n += len(chunk.Data)
-		if blob != nil {
+		switch {
+		case !keep:
+		case n == 0 && chunk.Last:
+			blob = chunk.Data
+		case n == 0:
+			blob = append(make([]byte, 0, size), chunk.Data...)
+		default:
 			blob = append(blob, chunk.Data...)
 		}
+		n += len(chunk.Data)
 		if chunk.Last {
 			return blob, n, nil
 		}

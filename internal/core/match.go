@@ -9,13 +9,15 @@ import (
 )
 
 // grantInfo is the resolved outcome of matchmaking: which driver, under
-// which lease terms. The driver's binary is NOT necessarily loaded:
-// blob is nil until materializeBlob fetches it, which the grant flow
-// does only when a transfer will actually happen. DISCOVER probes and
-// the Table-4 renewal-no-change branch never touch the blob.
+// which lease terms. The driver's binary is NOT necessarily staged:
+// blob is nil until materializeBlob confirms the driver still exists
+// and takes the catalog's bytes from stored, which the grant flow does
+// only when a transfer will actually happen. DISCOVER probes and the
+// Table-4 renewal-no-change branch never touch the blob.
 type grantInfo struct {
 	driverID   int64
 	blob       []byte // nil = not yet materialized
+	stored     []byte // the catalog entry's blob, shared; checksum describes it
 	checksum   string
 	format     string
 	size       int // encoded blob length, known without the blob
@@ -80,9 +82,10 @@ const driverByIDSQL = `SELECT driver_id, api_name, api_version_major,
 	driver_version_minor, driver_version_micro, binary_code, binary_format
 FROM ` + DriversTable + ` WHERE driver_id = $id`
 
-// driverBlobSQL fetches just the binary for a transfer; the metadata
-// comes from the catalog.
-const driverBlobSQL = `SELECT binary_code FROM ` + DriversTable + `
+// driverExistsSQL is a catalog transfer's one statement: a primary-key
+// probe that the driver row still exists. The bytes and metadata come
+// from the catalog.
+const driverExistsSQL = `SELECT driver_id FROM ` + DriversTable + `
 	WHERE driver_id = $id`
 
 // match resolves a request to a driver + lease terms, implementing the
@@ -315,15 +318,19 @@ func corruptDriverError(driverID int64, err error) *ProtocolError {
 		Message: fmt.Sprintf("stored driver %d is corrupt: %v", driverID, err)}
 }
 
-// materializeBlob loads the driver binary for a grant resolved through
-// the catalog; called only when a transfer will actually happen. The
-// error is INTERNAL (not NO_DRIVER) so a renewal racing a DeleteDriver
-// keeps its working driver instead of revoking it.
+// materializeBlob stages the catalog entry's blob for a grant resolved
+// through the catalog; called only when a transfer will actually
+// happen. It shares the catalog's copy instead of re-reading the row,
+// so the staged bytes are always the ones the offered checksum was
+// computed from, even when a DBA replaces binary_code after the match.
+// One primary-key probe still confirms the driver exists; its error is
+// INTERNAL (not NO_DRIVER) so a renewal racing a DeleteDriver keeps its
+// working driver instead of revoking it.
 func (s *Server) materializeBlob(g *grantInfo) *ProtocolError {
 	if g.blob != nil {
 		return nil
 	}
-	res, err := s.exec(driverBlobSQL, sqlmini.Args{"id": g.driverID})
+	res, err := s.exec(driverExistsSQL, sqlmini.Args{"id": g.driverID})
 	if err != nil {
 		return &ProtocolError{Code: ErrCodeInternal, Message: err.Error()}
 	}
@@ -331,8 +338,7 @@ func (s *Server) materializeBlob(g *grantInfo) *ProtocolError {
 		return &ProtocolError{Code: ErrCodeInternal,
 			Message: fmt.Sprintf("driver %d disappeared before transfer", g.driverID)}
 	}
-	g.blob = res.Rows[0][0].Bytes()
-	g.size = len(g.blob)
+	g.blob = g.stored
 	return nil
 }
 

@@ -312,13 +312,16 @@ func (c fileChunk) encodeTo(e *wire.Encoder) {
 	e.Bytes32(c.Data)
 }
 
+// decodeFileChunk decodes one FILE_DATA payload. Data is a view of b,
+// not a copy: ReadFrame allocates a fresh payload per frame, so the
+// receiver may keep the view.
 func decodeFileChunk(b []byte) (fileChunk, error) {
 	d := wire.NewDecoder(b)
 	c := fileChunk{
 		Offset: d.Uint32(),
 		Total:  d.Uint32(),
 		Last:   d.Bool(),
-		Data:   d.Bytes32(),
+		Data:   d.Bytes32View(),
 	}
 	return c, d.Err()
 }

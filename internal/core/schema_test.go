@@ -331,7 +331,7 @@ func TestHotStatementsPlanIndexed(t *testing.T) {
 		{"license-count", driverLeaseFreeSQL,
 			sqlmini.Args{"id": int64(1)},
 			"range scan on " + LeasesTable + "(driver_id, expires_at) [leases_driver_expires_idx] (driver_id = 1 AND expires_at > "},
-		{"driver-blob", driverBlobSQL,
+		{"driver-exists", driverExistsSQL,
 			sqlmini.Args{"id": int64(1)},
 			"point lookup on " + DriversTable + "(driver_id) [primary key]"},
 		{"permissions-by-driver", `SELECT permission_id FROM ` + PermissionTable + ` WHERE driver_id = $id`,

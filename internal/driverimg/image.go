@@ -199,8 +199,7 @@ func (img *Image) canonicalBytes() []byte {
 // Checksum returns the SHA-256 of the canonical encoding, hex-encoded;
 // used as a cheap content identity in lease bookkeeping.
 func (img *Image) Checksum() string {
-	sum := sha256.Sum256(img.canonicalBytes())
-	return hex.EncodeToString(sum[:])
+	return checksumOf(img.canonicalBytes())
 }
 
 // EncodedChecksum computes Checksum directly from an encoded image blob,
@@ -212,18 +211,63 @@ func (img *Image) Checksum() string {
 // per catalog load. The walk also validates the framing, so a blob that
 // Decode would reject errors here too.
 func EncodedChecksum(blob []byte) (string, error) {
-	if len(blob) == 0 {
-		return "", fmt.Errorf("driverimg: encoded checksum: empty blob")
-	}
-	if blob[0] != imageVersion {
-		return "", fmt.Errorf("driverimg: unsupported image version %d", blob[0])
-	}
-	end, err := canonicalEnd(blob)
+	signed, err := signedRange(blob)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(blob[1:end])
-	return hex.EncodeToString(sum[:]), nil
+	return checksumOf(signed), nil
+}
+
+// Unpack checks and decodes a received image blob in place, in one
+// pass: it walks the framing, verifies the signature against pub (when
+// pub is non-nil) over exactly the signed bytes of blob, not over a
+// re-encoding, hashes those same bytes, and decodes the image with
+// Payload and Signature aliasing blob. The aliases are capacity-capped,
+// so appending to them copies instead of writing into blob; blob itself
+// must not be modified while the image is in use. The checksum equals
+// EncodedChecksum(blob), and Checksum() for a blob produced by Encode.
+func Unpack(blob []byte, pub ed25519.PublicKey) (*Image, string, error) {
+	signed, err := signedRange(blob)
+	if err != nil {
+		return nil, "", err
+	}
+	d := wire.NewDecoder(blob[1:])
+	m, err := decodeManifest(d)
+	if err != nil {
+		return nil, "", err
+	}
+	img := &Image{Manifest: m, Payload: d.Bytes32View(), Signature: d.Bytes32View()}
+	if err := d.Err(); err != nil {
+		return nil, "", fmt.Errorf("driverimg: decode: %w", err)
+	}
+	if pub != nil {
+		if err := verify(pub, signed, img.Signature, m); err != nil {
+			return nil, "", err
+		}
+	}
+	return img, checksumOf(signed), nil
+}
+
+// signedRange validates an encoded image's version byte and framing and
+// returns the signature-covered range: the manifest and payload fields.
+func signedRange(blob []byte) ([]byte, error) {
+	if len(blob) == 0 {
+		return nil, fmt.Errorf("driverimg: empty image blob")
+	}
+	if blob[0] != imageVersion {
+		return nil, fmt.Errorf("driverimg: unsupported image version %d", blob[0])
+	}
+	end, err := canonicalEnd(blob)
+	if err != nil {
+		return nil, err
+	}
+	return blob[1:end], nil
+}
+
+// checksumOf hashes a canonical byte range into the hex content identity.
+func checksumOf(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	return hex.EncodeToString(sum[:])
 }
 
 // canonicalEnd walks an encoded image and returns the offset just past
@@ -251,10 +295,10 @@ func canonicalEnd(blob []byte) (int, error) {
 	end := w.off
 	w.skipPrefixed() // Signature
 	if w.err != nil {
-		return 0, fmt.Errorf("driverimg: encoded checksum: %w", w.err)
+		return 0, fmt.Errorf("driverimg: framing: %w", w.err)
 	}
 	if w.off != len(blob) {
-		return 0, fmt.Errorf("driverimg: encoded checksum: %d trailing bytes", len(blob)-w.off)
+		return 0, fmt.Errorf("driverimg: framing: %d trailing bytes", len(blob)-w.off)
 	}
 	return end, nil
 }
@@ -312,14 +356,20 @@ func (img *Image) Sign(key ed25519.PrivateKey) {
 	img.Signature = ed25519.Sign(key, img.canonicalBytes())
 }
 
-// Verify checks the signature against pub. Unsigned images fail
-// verification.
+// Verify checks the signature against pub over the image's canonical
+// encoding. Unsigned images fail verification.
 func (img *Image) Verify(pub ed25519.PublicKey) error {
-	if len(img.Signature) == 0 {
-		return fmt.Errorf("driverimg: image %s is unsigned", img.Manifest.ID())
+	return verify(pub, img.canonicalBytes(), img.Signature, img.Manifest)
+}
+
+// verify is the one signature check: Verify runs it over a
+// re-encoding, Unpack over the received bytes.
+func verify(pub ed25519.PublicKey, signed, sig []byte, m Manifest) error {
+	if len(sig) == 0 {
+		return fmt.Errorf("driverimg: image %s is unsigned", m.ID())
 	}
-	if !ed25519.Verify(pub, img.canonicalBytes(), img.Signature) {
-		return fmt.Errorf("driverimg: signature verification failed for %s", img.Manifest.ID())
+	if !ed25519.Verify(pub, signed, sig) {
+		return fmt.Errorf("driverimg: signature verification failed for %s", m.ID())
 	}
 	return nil
 }

@@ -327,3 +327,148 @@ func TestEncodedChecksumRejectsGarbage(t *testing.T) {
 		t.Error("trailing bytes must error")
 	}
 }
+
+// signedTestImage returns a signed image with every manifest field
+// populated, its encoding, and the verifying key.
+func signedTestImage(t *testing.T) (*Image, []byte, ed25519.PublicKey) {
+	t.Helper()
+	pub, priv, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := &Image{Manifest: testManifest(), Payload: bytes.Repeat([]byte("body"), 256)}
+	img.Manifest.PinnedURL = "dbms://h1:1/db"
+	img.Sign(priv)
+	return img, img.Encode(), pub
+}
+
+// TestUnpackRejectsTampering: the in-place install check rejects any
+// flipped byte in the signed manifest, the payload or the signature, a
+// trailing byte, a truncated blob, and an unsigned image once a trust
+// key is set.
+func TestUnpackRejectsTampering(t *testing.T) {
+	img, blob, pub := signedTestImage(t)
+	if _, _, err := Unpack(blob, pub); err != nil {
+		t.Fatalf("pristine blob: %v", err)
+	}
+	kind := bytes.Index(blob, []byte(img.Manifest.Kind))
+	url := bytes.Index(blob, []byte(img.Manifest.PinnedURL))
+	payload := bytes.Index(blob, img.Payload)
+	sig := bytes.Index(blob, img.Signature)
+	if kind < 0 || url < 0 || payload < 0 || sig < 0 {
+		t.Fatal("fields not found in the encoding")
+	}
+	for name, off := range map[string]int{
+		"manifest kind":      kind,
+		"manifest url":       url + 7,
+		"payload first":      payload,
+		"payload last":       payload + len(img.Payload) - 1,
+		"signature first":    sig,
+		"signature last":     sig + len(img.Signature) - 1,
+		"manifest api major": kind + len(img.Manifest.Kind) + 4 + len(img.Manifest.API.Name) + 3,
+		"payload mid-chunk":  payload + len(img.Payload)/2,
+	} {
+		bad := bytes.Clone(blob)
+		bad[off] ^= 0x01
+		if _, _, err := Unpack(bad, pub); err == nil {
+			t.Errorf("%s: flipped byte at %d accepted", name, off)
+		}
+	}
+	if _, _, err := Unpack(append(bytes.Clone(blob), 0), pub); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	for _, n := range []int{0, 1, len(blob) / 2, len(blob) - 1} {
+		if _, _, err := Unpack(blob[:n], pub); err == nil {
+			t.Errorf("blob truncated to %d bytes accepted", n)
+		}
+	}
+	unsigned := &Image{Manifest: img.Manifest, Payload: img.Payload}
+	if _, _, err := Unpack(unsigned.Encode(), pub); err == nil || !strings.Contains(err.Error(), "unsigned") {
+		t.Errorf("unsigned image with a trust key: err = %v", err)
+	}
+	if _, _, err := Unpack(unsigned.Encode(), nil); err != nil {
+		t.Errorf("unsigned image without a trust key: %v", err)
+	}
+	otherPub, _, _ := ed25519.GenerateKey(nil)
+	if _, _, err := Unpack(blob, otherPub); err == nil {
+		t.Error("wrong key accepted")
+	}
+}
+
+// TestUnpackAliasesBlob: the installed image's Payload and Signature are
+// views of the received blob, capacity-capped, so an append to them
+// reallocates and leaves the blob untouched.
+func TestUnpackAliasesBlob(t *testing.T) {
+	_, blob, pub := signedTestImage(t)
+	got, _, err := Unpack(blob, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(blob, got.Payload) || &got.Payload[0] != &blob[bytes.Index(blob, got.Payload)] {
+		t.Fatal("Payload is not a view of the blob")
+	}
+	orig := bytes.Clone(blob)
+	_ = append(got.Payload, 0xEE, 0xEE, 0xEE, 0xEE)
+	_ = append(got.Signature, 0xEE)
+	if !bytes.Equal(blob, orig) {
+		t.Fatal("append to an installed image's fields wrote into the received blob")
+	}
+}
+
+// TestUnpackChecksum: for images produced by Encode, the in-place
+// checksum equals both EncodedChecksum and the decode-then-Checksum
+// path, signed or not, with or without a trust key.
+func TestUnpackChecksum(t *testing.T) {
+	signed, _, pub := signedTestImage(t)
+	for i, img := range []*Image{
+		signed,
+		{Manifest: testManifest()},
+		{Manifest: Manifest{Kind: "sequoia", Packages: []string{"nls", "gis"}}, Payload: []byte{1}},
+	} {
+		blob := img.Encode()
+		key := pub
+		if len(img.Signature) == 0 {
+			key = nil
+		}
+		got, sum, err := Unpack(blob, key)
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		enc, err := EncodedChecksum(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum != enc || sum != img.Checksum() || sum != got.Checksum() {
+			t.Errorf("image %d: Unpack %s, EncodedChecksum %s, Checksum %s", i, sum, enc, img.Checksum())
+		}
+	}
+}
+
+// FuzzUnpack: the install check is a trust boundary for bytes off the
+// socket. It must never panic, and whatever it accepts Decode accepts
+// too, with the same content and the EncodedChecksum identity.
+func FuzzUnpack(f *testing.F) {
+	_, priv, _ := ed25519.GenerateKey(nil)
+	img := &Image{Manifest: testManifest(), Payload: []byte("driver body")}
+	f.Add(img.Encode())
+	img.Sign(priv)
+	f.Add(img.Encode())
+	f.Add([]byte{imageVersion})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		got, sum, err := Unpack(blob, nil)
+		if err != nil {
+			return
+		}
+		dec, err := Decode(blob)
+		if err != nil {
+			t.Fatalf("Unpack accepted what Decode rejects: %v", err)
+		}
+		if !bytes.Equal(got.Payload, dec.Payload) || !bytes.Equal(got.Signature, dec.Signature) ||
+			got.Manifest.ID() != dec.Manifest.ID() {
+			t.Fatal("Unpack and Decode disagree")
+		}
+		if enc, err := EncodedChecksum(blob); err != nil || enc != sum {
+			t.Fatalf("checksum %s, EncodedChecksum %s (%v)", sum, enc, err)
+		}
+	})
+}

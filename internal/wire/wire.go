@@ -17,6 +17,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -328,17 +329,21 @@ func (d *Decoder) String() string {
 // Bytes32 consumes a length-prefixed byte slice. The returned slice is a
 // copy and safe to retain.
 func (d *Decoder) Bytes32() []byte {
+	return bytes.Clone(d.Bytes32View())
+}
+
+// Bytes32View consumes a length-prefixed byte slice without copying:
+// the result is a view into the decoded buffer, capacity-capped so an
+// append to it reallocates rather than overwriting the bytes that
+// follow. Use it only when the buffer is not reused while the view
+// lives, as with a frame payload from ReadFrame.
+func (d *Decoder) Bytes32View() []byte {
 	n := d.Uint32()
 	if d.err != nil {
 		return nil
 	}
 	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b[:len(b):len(b)]
 }
 
 // StringSlice consumes a count-prefixed slice of strings.

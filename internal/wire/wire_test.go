@@ -191,6 +191,32 @@ func TestDecoderStickyError(t *testing.T) {
 	}
 }
 
+// TestDecoderBytes32View: the view aliases the payload without a copy,
+// its capacity ends at the field so an append cannot overwrite the next
+// field, and a length past the buffer is a sticky short-buffer error.
+func TestDecoderBytes32View(t *testing.T) {
+	e := NewEncoder(32)
+	e.Bytes32([]byte("chunk"))
+	e.Uint32(7)
+	payload := e.Bytes()
+	d := NewDecoder(payload)
+	v := d.Bytes32View()
+	if string(v) != "chunk" || &v[0] != &payload[4] {
+		t.Fatalf("view = %q, want an alias of the payload", v)
+	}
+	if cap(v) != len(v) {
+		t.Fatalf("cap = %d, want %d", cap(v), len(v))
+	}
+	_ = append(v, 'X')
+	if got := d.Uint32(); got != 7 || d.Err() != nil {
+		t.Fatalf("next field = %d (%v), want 7: append overwrote it", got, d.Err())
+	}
+	short := NewDecoder([]byte{0, 0, 0, 9, 'a'})
+	if v := short.Bytes32View(); v != nil || !errors.Is(short.Err(), ErrShortBuffer) {
+		t.Fatalf("short buffer: view %q, err %v", v, short.Err())
+	}
+}
+
 func TestDecoderMaliciousStringSliceCount(t *testing.T) {
 	e := NewEncoder(8)
 	e.Uint32(0xFFFFFFFF) // absurd element count with no data behind it
