@@ -13,12 +13,13 @@
 #   make loadtest        # fleet-scale load tier: scaled tests + tail gate vs BENCH_tail.json
 #   make loadtest-baseline  # full-population load scenarios, refresh BENCH_tail.json
 #   make perfbench-test  # vet + test the perfbench module (its own go.mod)
+#   make fuzz            # run every Fuzz* target, one at a time, FUZZTIME each
 #
 # Benchmark knobs (see scripts/README.md): BENCH_COUNT, BENCH_TIME,
 # BENCH_FILTER ('.'' = full suite, includes slow lease-traffic sweeps),
-# BENCH_PKGS.
+# BENCH_PKGS. Fuzz knob: FUZZTIME (per target, default 10s).
 
-.PHONY: check check-race tier1 race lint drivolint doclint chaos bench bench-baseline bench-compare loadtest loadtest-baseline perfbench-test
+.PHONY: check check-race tier1 race lint drivolint doclint chaos bench bench-baseline bench-compare loadtest loadtest-baseline perfbench-test fuzz
 
 # check is the documented tier-1 entry point: everything CI (and the
 # next PR) must keep green. lint folds in vet + doclint + drivolint,
@@ -98,3 +99,19 @@ loadtest-baseline:
 # when the benchmark runs. Off the tier-1 path.
 perfbench-test:
 	cd perfbench && go vet ./... && go test ./...
+
+# fuzz runs every Fuzz* target in the tree (perfbench and lint testdata
+# excluded) for FUZZTIME each, one target at a time: `go test -fuzz`
+# accepts a single target per run. Off the tier-1 path; plain `go test`
+# already replays each target's seed corpus and any saved crasher under
+# testdata/fuzz. A failure leaves its input there as a new regression.
+FUZZTIME ?= 10s
+fuzz:
+	@set -e; \
+	for file in $$(grep -rl --include='*_test.go' --exclude-dir=testdata --exclude-dir=perfbench \
+			--exclude-dir=.bench_build '^func Fuzz' .); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+			echo "== $$target ($$(dirname $$file), $(FUZZTIME))"; \
+			go test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$(dirname $$file); \
+		done; \
+	done

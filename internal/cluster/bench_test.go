@@ -26,6 +26,15 @@ import (
 // The win is structural (fewer network round-trips per operation), so
 // it shows on a single-core box; on real hardware the three members
 // also spread CPU.
+//
+// A cluster renewal's cost is mostly replication, not the REDIRECT hop
+// (which only a renewal starting at a non-owner pays): the owner's
+// UPDATE plus one apply on each of the two peers. Every member runs it
+// on its hub's cached statement handle (parsed, classified and plan-
+// analyzed once per SQL text) and the skiplist walks that move the
+// leases index entries compare keys in place, so the fan-out costs
+// three executions, not three parses, plans and argument marshals.
+// TestHubRenewalAllocs pins that path's allocations.
 
 func benchSeedAny(b *testing.B, srv *core.Server) {
 	b.Helper()

@@ -102,7 +102,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, fmt.Errorf("cluster: schema on %s: %w", names[i], err)
 		}
 		f.DBs[i] = db
-		hub := dbms.NewServer(names[i] + "-hub")
+		var hubOpts []dbms.ServerOption
+		if cfg.Logf != nil {
+			hubOpts = append(hubOpts, dbms.WithLogger(cfg.Logf))
+		}
+		hub := dbms.NewServer(names[i]+"-hub", hubOpts...)
 		hub.AddDatabase(cfg.Database, db)
 		f.Hubs[i] = hub
 	}
@@ -216,9 +220,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 // replicatedStore is the member-local Store: reads and generation
 // probes hit the local database directly, mutations funnel through
-// the replication hub so every peer applies them too. It deliberately
-// implements none of the v2 capabilities (Tx/Stmt/Batch) — those
-// would bypass replication.
+// the replication hub so every peer applies them too. Exec is the one
+// statement path: the hub parses, classifies and prepares each SQL text
+// once (its statement cache), runs the call on that handle, and hands
+// the same arguments to every peer hub, which applies them through its
+// own cached handle. It deliberately implements none of the v2
+// capabilities (Tx/Stmt/Batch) — those would bypass replication.
 type replicatedStore struct {
 	db   *sqlmini.DB
 	hub  *dbms.Server

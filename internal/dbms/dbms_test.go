@@ -2,6 +2,7 @@ package dbms
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -421,5 +422,56 @@ func TestWrongSchemeRejected(t *testing.T) {
 	d := NewNativeDriver(dbver.V(1, 0, 0), 1)
 	if _, err := d.Connect("sequoia://h:1/db", nil); err == nil {
 		t.Fatal("expected scheme rejection")
+	}
+}
+
+// TestStatementCacheConcurrent drives the server's statement cache from
+// several goroutines at once, past its bound (so it restarts while
+// handles are in use), with every mutation replicating to a peer: each
+// write must land on both databases exactly once.
+func TestStatementCacheConcurrent(t *testing.T) {
+	hub := NewServer("hub")
+	peer := NewServer("peer")
+	for _, s := range []*Server{hub, peer} {
+		db := sqlmini.NewDB()
+		db.MustExec("CREATE TABLE kv (k INTEGER NOT NULL PRIMARY KEY, v INTEGER)")
+		s.AddDatabase("app", db)
+	}
+	hub.AttachReplica(peer)
+
+	const workers, perWorker = 4, maxServerStmts/2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				k := w*perWorker + i
+				if _, err := hub.Execute("app", "INSERT INTO kv (k, v) VALUES (?, ?)", k, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				// A distinct text per call walks the cache past its bound.
+				sql := fmt.Sprintf("UPDATE kv SET v = v + %d WHERE k = ?", k+1)
+				if _, err := hub.Execute("app", sql, k); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, s := range []*Server{hub, peer} {
+		//lint:scan-ok test introspection: counting every row
+		res, err := s.Database("app").Query("SELECT count(*) FROM kv WHERE v = k + 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].Int(); n != workers*perWorker {
+			t.Fatalf("%s: %d rows carry their update, want %d", s.Name(), n, workers*perWorker)
+		}
+	}
+	if got := hub.QueriesServed(); got != 2*workers*perWorker {
+		t.Fatalf("hub counted %d statements, want %d", got, 2*workers*perWorker)
 	}
 }

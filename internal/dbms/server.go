@@ -32,12 +32,23 @@ type Server struct {
 	mu        sync.Mutex
 	dbs       map[string]*sqlmini.DB
 	readOnly  bool
-	replicas  []*Server
 	ln        net.Listener
 	stopped   bool
 	sessions  map[*session]struct{}
 	nextSID   uint64
 	userConns map[string]int
+
+	// replicas is the replication fan-out, replaced wholesale (under
+	// mu) on attach and detach, so each replicated statement reads one
+	// immutable snapshot of it without taking mu or copying the list.
+	replicas atomic.Pointer[[]*Server]
+
+	// stmts is the server's statement cache (see statement). Its lock
+	// guards the map only and never nests.
+	//
+	//lint:latch-leaf Server.stmtMu
+	stmtMu sync.RWMutex
+	stmts  map[stmtKey]*serverStmt
 
 	wg sync.WaitGroup
 
@@ -117,11 +128,12 @@ func NewServer(name string, opts ...ServerOption) *Server {
 		protoMax:         ProtocolV2,
 		handshakeTimeout: faultnet.DefaultHandshakeTimeout,
 		writeTimeout:     faultnet.DefaultWriteTimeout,
-		users:         map[string]string{},
-		dbs:           map[string]*sqlmini.DB{},
-		sessions:      map[*session]struct{}{},
-		userConns:     map[string]int{},
-		logf:          func(string, ...any) {},
+		users:            map[string]string{},
+		dbs:              map[string]*sqlmini.DB{},
+		sessions:         map[*session]struct{}{},
+		userConns:        map[string]int{},
+		stmts:            map[stmtKey]*serverStmt{},
+		logf:             func(string, ...any) {},
 	}
 	for _, o := range opts {
 		o(s)
@@ -173,19 +185,31 @@ func (s *Server) Databases() []string {
 func (s *Server) AttachReplica(r *Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.replicas = append(s.replicas, r)
+	rs := append(s.replicaList(), r)
+	s.replicas.Store(&rs)
 }
 
-// DetachReplica removes r from the replication fan-out.
+// DetachReplica removes r from the replication fan-out. A statement
+// that starts replicating after DetachReplica returns never reaches r.
 func (s *Server) DetachReplica(r *Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, x := range s.replicas {
-		if x == r {
-			s.replicas = append(s.replicas[:i], s.replicas[i+1:]...)
-			return
+	var rs []*Server
+	for _, x := range s.replicaList() {
+		if x != r {
+			rs = append(rs, x)
 		}
 	}
+	s.replicas.Store(&rs)
+}
+
+// replicaList returns the current replication fan-out. The slice is
+// never modified in place: attach and detach publish a fresh one.
+func (s *Server) replicaList() []*Server {
+	if rs := s.replicas.Load(); rs != nil {
+		return *rs
+	}
+	return nil
 }
 
 // SyncReplica copies every database's current state into r.
@@ -337,30 +361,96 @@ func (s *Server) DisconnectUser(user string) int {
 }
 
 type session struct {
-	id    uint64
-	conn  *wire.Conn
-	user  string
-	db    string
-	sql   *sqlmini.Session
-	proto uint16 // negotiated protocol version
-	caps  uint32 // negotiated capability mask
+	id     uint64
+	conn   *wire.Conn
+	user   string
+	db     string
+	engine *sqlmini.DB // the database db named at connect time
+	sql    *sqlmini.Session
+	proto  uint16 // negotiated protocol version
+	caps   uint32 // negotiated capability mask
 
-	// stmts is the session's prepared-handle table: server-side cached
-	// sqlmini.Prepared keyed by handle id. Only the session's serve
-	// goroutine touches it, it is bounded at maxSessionStmts, and it is
-	// swept wholesale on disconnect (serveConn return drops the map and
-	// every handle with it).
-	stmts    map[uint64]*sessStmt
+	// stmts is the session's prepared-handle table: entries of the
+	// server's statement cache keyed by handle id. Only the session's
+	// serve goroutine touches it, it is bounded at maxSessionStmts, and
+	// it is swept wholesale on disconnect (serveConn return drops the
+	// map and every handle with it).
+	stmts    map[uint64]*serverStmt
 	nextStmt uint64
 }
 
-// sessStmt is one server-side prepared handle: the reusable engine
-// handle plus the statement's text (replication ships SQL) and its
-// mutation classification (read-only gate, replication trigger).
-type sessStmt struct {
-	p        *sqlmini.Prepared
+// serverStmt is one SQL text on one database as the server runs it:
+// parsed and classified once, and, unless it is transaction control
+// (session state, never prepared), a prepared handle whose plan
+// skeleton every later execution reuses. Hub calls, wire statements,
+// prepared handles and replica applies all run through these entries.
+type serverStmt struct {
 	sql      string
-	mutating bool
+	st       sqlmini.Statement
+	p        *sqlmini.Prepared // nil for BEGIN/COMMIT/ROLLBACK
+	mutating bool              // read-only gate and replication trigger
+}
+
+// stmtKey identifies a statement cache entry. It names the database by
+// pointer, so a database re-attached under the same name never runs
+// the old one's handles.
+type stmtKey struct {
+	db  *sqlmini.DB
+	sql string
+}
+
+// maxServerStmts bounds the statement cache. A workload's statement
+// vocabulary is small; when the bound is reached the cache restarts
+// empty, the same crude bound sqlmini's parse cache uses.
+const maxServerStmts = 1024
+
+// statement returns the cache entry for sql on db, parsing, classifying
+// and preparing it on first use. Parse errors are not cached.
+func (s *Server) statement(db *sqlmini.DB, sql string) (*serverStmt, error) {
+	k := stmtKey{db: db, sql: sql}
+	s.stmtMu.RLock()
+	e := s.stmts[k]
+	s.stmtMu.RUnlock()
+	if e != nil {
+		return e, nil
+	}
+	st, err := db.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	e = &serverStmt{sql: sql, st: st, mutating: isMutatingStmt(st)}
+	switch st.(type) {
+	case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
+	default:
+		if e.p, err = db.Prepare(sql); err != nil {
+			return nil, err
+		}
+	}
+	s.stmtMu.Lock()
+	if len(s.stmts) >= maxServerStmts {
+		s.stmts = make(map[stmtKey]*serverStmt)
+	}
+	s.stmts[k] = e
+	s.stmtMu.Unlock()
+	return e, nil
+}
+
+// run executes the statement inside a wire session, joining its open
+// transaction if any.
+func (e *serverStmt) run(sess *sqlmini.Session, args []any) (*sqlmini.Result, error) {
+	if e.p == nil {
+		return sess.Exec(e.sql, args...)
+	}
+	return sess.ExecPrepared(e.p, args...)
+}
+
+// autocommit executes the statement outside any session — the hub and
+// replica paths, which have no transaction to join.
+func (e *serverStmt) autocommit(args []any) (*sqlmini.Result, error) {
+	if e.p == nil {
+		return nil, fmt.Errorf("dbms: transaction control %q needs a session", e.sql)
+	}
+	return e.p.Exec(args...)
 }
 
 // maxSessionStmts bounds one session's prepared-handle table. The
@@ -430,7 +520,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 
 	sess := &session{conn: conn, user: hello.User, db: hello.Database,
-		sql: db.NewSession(), proto: neg, caps: caps}
+		engine: db, sql: db.NewSession(), proto: neg, caps: caps}
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -512,21 +602,22 @@ func (s *Server) handleExec(sess *session, payload []byte) error {
 	}
 	s.queries.Add(1)
 
-	mutating, parseErr := isMutating(m.SQL)
-	if parseErr != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, parseErr.Error()))
+	e, err := s.statement(sess.engine, m.SQL)
+	if err != nil {
+		return sess.conn.Send(msgError, encodeError(codeQueryError, err.Error()))
 	}
-	if mutating && s.isReadOnly() {
+	if e.mutating && s.isReadOnly() {
 		return sess.conn.Send(msgError, encodeError(codeReadOnly,
 			fmt.Sprintf("server %s is a read-only replica", s.name)))
 	}
 
-	res, err := execOn(sess.sql, m)
+	args := m.args()
+	res, err := e.run(sess.sql, args)
 	if err != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, err.Error()))
 	}
-	if mutating {
-		s.replicate(sess.db, m)
+	if e.mutating {
+		s.replicate(sess.db, e.sql, args)
 	}
 	return sess.conn.Send(msgResult, encodeResult(res))
 }
@@ -558,14 +649,14 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 		return sess.conn.Send(msgBatchResult, reply.encode())
 	}
 
-	muts := make([]bool, len(bm.Stmts))
+	ents := make([]*serverStmt, len(bm.Stmts))
 	for i, m := range bm.Stmts {
-		st, perr := sqlmini.Parse(m.SQL)
+		e, perr := s.statement(sess.engine, m.SQL)
 		if perr != nil {
 			return fail(i, codeQueryError, perr.Error())
 		}
 		if bm.Atomic {
-			switch st.(type) {
+			switch e.st.(type) {
 			case *sqlmini.BeginStmt, *sqlmini.CommitStmt, *sqlmini.RollbackStmt:
 				return fail(i, codeQueryError, "transaction control inside an atomic batch")
 			case *sqlmini.CreateTableStmt, *sqlmini.CreateIndexStmt, *sqlmini.DropTableStmt:
@@ -575,8 +666,8 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 				return fail(i, codeQueryError, "DDL cannot roll back and is not batchable atomically")
 			}
 		}
-		muts[i] = isMutatingStmt(st)
-		if muts[i] && s.isReadOnly() {
+		ents[i] = e
+		if e.mutating && s.isReadOnly() {
 			return fail(i, codeReadOnly, fmt.Sprintf("server %s is a read-only replica", s.name))
 		}
 	}
@@ -596,37 +687,37 @@ func (s *Server) handleExecBatch(sess *session, payload []byte) error {
 		// session-level BEGIN/ROLLBACK wrapper would release the lock
 		// between statements, and its rollback could clobber an
 		// interleaved session's committed write).
-		db := s.Database(sess.db)
 		bs := make([]sqlmini.BatchStmt, len(bm.Stmts))
 		for i, m := range bm.Stmts {
 			bs[i] = toBatchStmt(m)
 		}
-		results, err := db.ExecBatchAtomic(bs)
+		results, err := sess.engine.ExecBatchAtomic(bs)
 		if err != nil {
 			// The engine error text names the failing statement's
 			// position; there is no partial result to report.
 			return fail(-1, codeQueryError, err.Error())
 		}
 		reply.Results = results
-		for i, m := range bm.Stmts {
-			if muts[i] {
-				s.replicate(sess.db, m) // only once the unit applied
+		for i, e := range ents {
+			if e.mutating {
+				s.replicate(sess.db, e.sql, bs[i].Args) // only once the unit applied
 			}
 		}
 		return sess.conn.Send(msgBatchResult, reply.encode())
 	}
-	for i, m := range bm.Stmts {
-		res, execErr := execOn(sess.sql, m)
+	for i, e := range ents {
+		args := bm.Stmts[i].args()
+		res, execErr := e.run(sess.sql, args)
 		if execErr != nil {
 			return fail(i, codeQueryError, execErr.Error())
 		}
 		reply.Results = append(reply.Results, res)
-		if muts[i] {
+		if e.mutating {
 			// Non-atomic batches replicate statement by statement,
 			// exactly like the same statements sent one frame at a
 			// time — an applied prefix before a mid-batch failure
 			// must reach the replicas too.
-			s.replicate(sess.db, m)
+			s.replicate(sess.db, e.sql, args)
 		}
 	}
 	return sess.conn.Send(msgBatchResult, reply.encode())
@@ -656,26 +747,21 @@ func (s *Server) handlePrepare(sess *session, payload []byte) error {
 		return sess.conn.Send(msgError, encodeError(codeQueryError,
 			fmt.Sprintf("session already holds %d prepared statements (limit)", maxSessionStmts)))
 	}
-	mutating, perr := isMutating(m.SQL)
+	e, perr := s.statement(sess.engine, m.SQL)
 	if perr != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, perr.Error()))
 	}
-	db := s.Database(sess.db)
-	if db == nil {
-		return sess.conn.Send(msgError, encodeError(codeNoDatabase,
-			fmt.Sprintf("database %q was detached", sess.db)))
-	}
-	p, perr := db.Prepare(m.SQL)
-	if perr != nil {
-		return sess.conn.Send(msgError, encodeError(codeQueryError, perr.Error()))
+	if e.p == nil {
+		return sess.conn.Send(msgError, encodeError(codeQueryError,
+			fmt.Sprintf("cannot prepare transaction control %q", m.SQL)))
 	}
 	s.prepares.Add(1)
 	if sess.stmts == nil {
-		sess.stmts = make(map[uint64]*sessStmt)
+		sess.stmts = make(map[uint64]*serverStmt)
 	}
 	sess.nextStmt++
-	sess.stmts[sess.nextStmt] = &sessStmt{p: p, sql: m.SQL, mutating: mutating}
-	return sess.conn.Send(msgPrepareOK, prepareOKMsg{Handle: sess.nextStmt, Mutating: mutating}.encode())
+	sess.stmts[sess.nextStmt] = e
+	return sess.conn.Send(msgPrepareOK, prepareOKMsg{Handle: sess.nextStmt, Mutating: e.mutating}.encode())
 }
 
 // handleExecStmt executes one prepared handle with this call's
@@ -704,12 +790,13 @@ func (s *Server) handleExecStmt(sess *session, payload []byte) error {
 		return sess.conn.Send(msgError, encodeError(codeReadOnly,
 			fmt.Sprintf("server %s is a read-only replica", s.name)))
 	}
-	res, execErr := sess.sql.ExecPrepared(h.p, wireArgs(m.Named, m.Positional)...)
+	args := wireArgs(m.Named, m.Positional)
+	res, execErr := h.run(sess.sql, args)
 	if execErr != nil {
 		return sess.conn.Send(msgError, encodeError(codeQueryError, execErr.Error()))
 	}
 	if h.mutating {
-		s.replicate(sess.db, execMsg{SQL: h.sql, Named: m.Named, Positional: m.Positional})
+		s.replicate(sess.db, h.sql, args)
 	}
 	return sess.conn.Send(msgResult, encodeResult(res))
 }
@@ -790,35 +877,32 @@ func wireArgs(named map[string]sqlmini.Value, positional []sqlmini.Value) []any 
 
 func (m execMsg) args() []any { return wireArgs(m.Named, m.Positional) }
 
-func execOn(sess *sqlmini.Session, m execMsg) (*sqlmini.Result, error) {
-	return sess.Exec(m.SQL, m.args()...)
-}
-
-// replicate ships a mutating statement to every attached replica.
-// Statement-based replication applies synchronously in autocommit on the
-// replica; explicit-transaction interleavings are out of scope for this
+// replicate ships a mutating statement that applied locally to every
+// attached replica, with the arguments it ran with. Statement-based
+// replication applies synchronously, in caller order and in autocommit
+// on each replica; a replica's failure is logged, never returned.
+// Explicit-transaction interleavings are out of scope for this
 // substrate (documented in DESIGN.md).
-func (s *Server) replicate(dbName string, m execMsg) {
-	s.mu.Lock()
-	replicas := append([]*Server(nil), s.replicas...)
-	s.mu.Unlock()
-	for _, r := range replicas {
-		if err := r.ApplyReplicated(dbName, m); err != nil {
+func (s *Server) replicate(dbName, sql string, args []any) {
+	for _, r := range s.replicaList() {
+		if err := r.ApplyReplicated(dbName, sql, args...); err != nil {
 			s.logf("dbms %s: replicate to %s: %v", s.name, r.name, err)
 		}
 	}
 }
 
 // ApplyReplicated applies a statement shipped from a master, bypassing
-// the read-only gate.
-func (s *Server) ApplyReplicated(dbName string, m execMsg) error {
+// the read-only gate, through this server's own statement cache.
+func (s *Server) ApplyReplicated(dbName, sql string, args ...any) error {
 	db := s.Database(dbName)
 	if db == nil {
 		return fmt.Errorf("dbms %s: replicated statement for unknown database %q", s.name, dbName)
 	}
-	sess := db.NewSession()
-	defer sess.Close()
-	_, err := execOn(sess, m)
+	e, err := s.statement(db, sql)
+	if err != nil {
+		return err
+	}
+	_, err = e.autocommit(args)
 	return err
 }
 
@@ -827,40 +911,26 @@ func (s *Server) ApplyReplicated(dbName string, m execMsg) error {
 // exactly like a statement arriving over the protocol. Cluster members
 // embed a non-listening Server purely as a replication hub and funnel
 // their store writes through here, so every member's local database
-// converges with its peers'.
+// converges with its peers'. It counts in QueriesServed, not in
+// StmtExecsServed, which counts msgExecStmt frames only.
 func (s *Server) Execute(dbName, sql string, args ...any) (*sqlmini.Result, error) {
 	db := s.Database(dbName)
 	if db == nil {
 		return nil, fmt.Errorf("dbms %s: no database %q", s.name, dbName)
 	}
-	m, err := marshalExec(sql, args)
-	if err != nil {
-		return nil, err
-	}
-	mutating, err := isMutating(sql)
+	e, err := s.statement(db, sql)
 	if err != nil {
 		return nil, err
 	}
 	s.queries.Add(1)
-	sess := db.NewSession()
-	defer sess.Close()
-	res, err := execOn(sess, m)
+	res, err := e.autocommit(args)
 	if err != nil {
 		return nil, err
 	}
-	if mutating {
-		s.replicate(dbName, m)
+	if e.mutating {
+		s.replicate(dbName, sql, args)
 	}
 	return res, nil
-}
-
-// isMutating classifies a statement by its parsed type.
-func isMutating(sql string) (bool, error) {
-	st, err := sqlmini.Parse(sql)
-	if err != nil {
-		return false, err
-	}
-	return isMutatingStmt(st), nil
 }
 
 func isMutatingStmt(st sqlmini.Statement) bool {

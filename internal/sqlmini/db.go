@@ -304,6 +304,11 @@ func (db *DB) parseCached(src string) (Statement, error) {
 	return st, nil
 }
 
+// Parse returns src's AST through the database's statement cache, so a
+// caller that classifies a statement before running it pays for one
+// parse per SQL text, not one per call.
+func (db *DB) Parse(src string) (Statement, error) { return db.parseCached(src) }
+
 // Exec runs a statement in autocommit mode. If args is a single Args map,
 // parameters bind by name ($name); otherwise they bind positionally (?).
 func (db *DB) Exec(src string, args ...any) (*Result, error) {

@@ -103,11 +103,7 @@ func tupleKey(key []Value) string {
 // by Compare (NULL components never match).
 func tupleEqualAt(vals []Value, cols []int, key []Value) bool {
 	for i, ci := range cols {
-		v := vals[ci]
-		if v.IsNull() || key[i].IsNull() {
-			return false
-		}
-		c, ok := Compare(v, key[i])
+		c, ok := compare(&vals[ci], &key[i])
 		if !ok || c != 0 {
 			return false
 		}
@@ -230,11 +226,10 @@ func (ix *secondaryIndex) colNames(t *Table) []string {
 func (ix *secondaryIndex) keyFor(vals []Value) ([]Value, bool) {
 	key := make([]Value, len(ix.cols))
 	for i, ci := range ix.cols {
-		v := vals[ci]
-		if v.IsNull() {
+		if vals[ci].IsNull() {
 			return nil, false
 		}
-		key[i] = v
+		key[i] = vals[ci]
 	}
 	return key, true
 }
@@ -290,7 +285,7 @@ func (ix *secondaryIndex) sameKey(a, b []Value) bool {
 		return tupleKey(a) == tupleKey(b)
 	}
 	for i := range a {
-		if !Equal(a[i], b[i]) {
+		if c, ok := compare(&a[i], &b[i]); !ok || c != 0 {
 			return false
 		}
 	}

@@ -115,15 +115,12 @@ type indexPlan struct {
 // verify applies the residual-free checks to a candidate's visible
 // values. Stored values are uniformly typed per column (post-coercion)
 // and every check value passed the probe vetting, so Compare is total
-// here; a failed Compare (impossible by construction) rejects, which is
-// always safe.
+// over non-NULL values here; a NULL stored value fails the compare and
+// rejects, as would any other failed compare, which is always safe.
 func (p *indexPlan) verify(vals []Value) bool {
-	for _, ck := range p.checks {
-		v := vals[ck.col]
-		if v.IsNull() {
-			return false
-		}
-		c, ok := Compare(v, ck.val)
+	for i := range p.checks {
+		ck := &p.checks[i]
+		c, ok := compare(&vals[ck.col], &ck.val)
 		if !ok {
 			return false
 		}

@@ -70,7 +70,7 @@ func (sl *skipList) randLevel() int {
 // it is treated as equal-rank which keeps the walk safe regardless.
 func cmpKey(nodeKey, probe []Value) int {
 	for i := range probe {
-		c, ok := Compare(nodeKey[i], probe[i])
+		c, ok := compare(&nodeKey[i], &probe[i])
 		if !ok {
 			return 0
 		}

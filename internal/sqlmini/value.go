@@ -278,10 +278,35 @@ func numericType(t Type) bool {
 
 // Compare orders two non-NULL values: -1, 0, +1. Comparing NULL with
 // anything returns unknown=false via the (cmp, ok) second result.
-func Compare(a, b Value) (int, bool) {
-	if a.IsNull() || b.IsNull() {
+func Compare(a, b Value) (int, bool) { return compare(&a, &b) }
+
+// compare is Compare over pointers, so index walks and plan checks
+// compare stored keys in place instead of copying two 96-byte Values
+// per step. Same-type pairs, which is what a uniformly typed index
+// column meets, take a fast path; every other pair goes through
+// compareMixed's coercion rules, with identical results.
+func compare(a, b *Value) (int, bool) {
+	if !a.isSet || !b.isSet {
 		return 0, false
 	}
+	if a.typ == b.typ {
+		switch a.typ {
+		case TypeTimestamp:
+			return a.t.Compare(b.t), true
+		case TypeInteger, TypeBigint, TypeBoolean:
+			return cmpInt(a.i, b.i), true
+		case TypeVarchar:
+			return strings.Compare(a.s, b.s), true
+		}
+	}
+	return compareMixed(a, b)
+}
+
+// compareMixed orders two non-NULL values of any type pair: numbers
+// numerically (as doubles when either side is one), timestamps by
+// instant, blobs bytewise, and the rest as strings, coercing numeric
+// text when the other side is a number.
+func compareMixed(a, b *Value) (int, bool) {
 	at, bt := a.Type(), b.Type()
 	switch {
 	case numericType(at) && numericType(bt):
@@ -290,20 +315,10 @@ func Compare(a, b Value) (int, bool) {
 		}
 		return cmpInt(a.Int(), b.Int()), true
 	case at == TypeTimestamp || bt == TypeTimestamp:
-		ta, tb := a.Time(), b.Time()
-		switch {
-		case ta.Before(tb):
-			return -1, true
-		case ta.After(tb):
-			return 1, true
-		default:
-			return 0, true
-		}
+		return a.Time().Compare(b.Time()), true
 	case at == TypeBlob && bt == TypeBlob:
 		return strings.Compare(string(a.b), string(b.b)), true
 	default:
-		// String-ish comparison, with numeric coercion when one side is a
-		// number literal stored as text.
 		if numericType(at) || numericType(bt) {
 			return cmpFloat(a.Float(), b.Float()), true
 		}
